@@ -6,7 +6,7 @@
 //! a scheduler thread opens and closes I/O fault windows (ENOSPC,
 //! EIO writes, short writes, failed fsyncs) drawn from a seeded PRNG —
 //! the same seed replays the same schedule. The drill asserts the full
-//! graded-degradation contract (DESIGN.md §15):
+//! graded-degradation contract (DESIGN.md §10):
 //!
 //! - inside a window every refused publish is the *retriable* read-only
 //!   kind — the server never wedges on transient faults;
@@ -145,10 +145,7 @@ fn fingerprint(server: &OptimizerServer) -> Fingerprint {
 }
 
 fn assert_fsck_clean(dir: &Path) {
-    let report = match co_graph::fsck::detect_shard_layout(dir) {
-        Some(n) => co_graph::fsck::check_sharded_data_dir(dir, n, true).unwrap(),
-        None => co_graph::fsck::check_data_dir(dir, true).unwrap(),
-    };
+    let report = co_graph::fsck::check_data_dir(dir, true).unwrap();
     assert!(report.is_clean(), "egfsck: {report}");
 }
 

@@ -71,22 +71,23 @@ impl ExecutionReport {
 /// from a data directory (see `OptimizerServer::open`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Whether a snapshot file existed and loaded (any shard's, on a
-    /// sharded data directory).
+    /// Whether any shard's snapshot file existed and loaded.
     pub snapshot_loaded: bool,
-    /// Journal records replayed on top of the snapshot.
+    /// Per-shard journal records applied on top of the snapshots: those
+    /// beyond their shard's snapshot watermark *and* sealed by a commit
+    /// record. A publish touching k shards contributes k — count
+    /// publishes with `committed_publishes`.
     pub journal_records_replayed: usize,
-    /// Sharded recovery only: journal records skipped because they were
-    /// already inside a shard snapshot's watermark or belonged to a
-    /// publish the commit log never committed (rolled back).
+    /// Journal records skipped because they were already inside a shard
+    /// snapshot's watermark or belonged to a publish the commit log
+    /// never committed (rolled back).
     pub journal_records_skipped: usize,
-    /// Sharded recovery only: distinct committed publishes named by the
-    /// cross-shard commit log.
+    /// Distinct committed publishes named by the commit log.
     pub committed_publishes: usize,
-    /// Whether a torn journal tail (crash mid-append) was detected and
-    /// truncated.
+    /// Whether a torn tail (crash mid-append) was detected and truncated
+    /// in any journal or the commit log.
     pub torn_tail_truncated: bool,
-    /// Bytes discarded with the torn tail.
+    /// Bytes discarded with the torn tail(s).
     pub torn_bytes_discarded: u64,
     /// Quarantine entries re-installed from persistence.
     pub quarantine_restored: usize,

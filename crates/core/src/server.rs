@@ -7,12 +7,13 @@
 //! write-lock critical section). No Experiment Graph lock is ever held
 //! while an `Operation::run` executes.
 //!
-//! With [`ServerConfig::shards`] > 1 the Experiment Graph is partitioned
-//! into lock shards (`co_graph::shard`): planning takes every shard's
-//! read lock and serves through an [`EgView`], while publishing locks
-//! only the shards a workload touches — in ascending shard order, so two
-//! publishers can never deadlock — and journals each shard's delta
-//! separately, sealed by a cross-shard commit record (DESIGN.md §14).
+//! The Experiment Graph is partitioned into [`ServerConfig::shards`]
+//! lock shards (`co_graph::shard`; one shard is simply the N = 1 case):
+//! planning takes every shard's read lock and serves through an
+//! [`EgView`], while publishing locks only the shards a workload
+//! touches — in ascending shard order, so two publishers can never
+//! deadlock — and journals each shard's delta separately, sealed by a
+//! commit record (DESIGN.md §10).
 
 use crate::cost::CostModel;
 use crate::executor::{self, ExecutorConfig};
@@ -24,11 +25,14 @@ use crate::materialize::{
 use crate::optimizer::{AllMaterializedReuse, HelixReuse, LinearReuse, NoReuse, ReusePlanner};
 use crate::pipeline::{ExecutedWorkload, FailedExecution, PlannedWorkload, PrunedWorkload};
 use crate::report::{ExecutionReport, RecoveryReport};
-use co_graph::journal::{self, EgDelta, FsyncPolicy, Journal, QuarantineEntry, VertexTouch};
+use co_graph::journal::{
+    self, EgDelta, FramedLog, FsyncPolicy, Journal, LogRecord, QuarantineEntry, VertexTouch,
+};
 use co_graph::shard::{self, ShardedEg};
 use co_graph::{
     snapshot, ArtifactId, ColdStore, CommitLog, CommitRecord, CrashPoint, EgView, ExperimentGraph,
-    FaultInjector, GraphError, OpHash, OpRef, Result, ScrubOutcome, Value, WorkloadDag,
+    FaultInjector, GraphError, OpHash, OpRef, Result, ScrubOutcome, ShardWriteGuard, Value,
+    WorkloadDag,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -93,12 +97,12 @@ pub struct ServerConfig {
     /// available parallelism. The kernels are bit-identical for any thread
     /// count, so this is purely a throughput/footprint knob.
     pub df_threads: Option<usize>,
-    /// Experiment Graph lock shards. `1` (the default) is the classic
-    /// single-graph server with bit-identical behavior; larger values
-    /// partition vertices by artifact hash so publishers touching
-    /// disjoint shards commit concurrently. At shards > 1 the budgeted
-    /// materializers degrade to a first-fit scope over the publishing
-    /// workload (DESIGN.md §14).
+    /// Experiment Graph lock shards. With `1` (the default) every
+    /// publish holds the whole graph, so the configured materializer
+    /// runs the paper's algorithms as written; larger values partition
+    /// vertices by artifact hash so publishers touching disjoint shards
+    /// commit concurrently, and the budgeted materializers degrade to a
+    /// first-fit scope over the publishing workload (DESIGN.md §10).
     pub shards: usize,
 }
 
@@ -158,22 +162,20 @@ impl ServerConfig {
 }
 
 /// Where and how the Experiment Graph is made crash-safe (see
-/// DESIGN.md §10 and §14). At `shards = 1` the data directory holds one
-/// snapshot (`eg.egsnap`, written atomically) and one write-ahead
-/// journal (`eg.wal`, appended inside the publish critical section). At
-/// `shards = N` it holds one snapshot + journal pair per shard
-/// (`eg-k.egsnap` / `eg-k.wal`) plus the cross-shard commit log
-/// (`eg.commit`). The two layouts are mutually exclusive; opening a
-/// directory with the wrong shard count is an error, not silent
-/// misrouting.
+/// DESIGN.md §10). The data directory holds one snapshot + write-ahead
+/// journal pair per shard (`eg-k.egsnap`, written atomically, and
+/// `eg-k.wal`, appended inside the publish critical section) plus the
+/// commit log (`eg.commit`) — for every shard count, 1 included.
+/// Opening a directory with the wrong shard count is an error, not
+/// silent misrouting.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Data directory; created on open if missing.
     pub dir: PathBuf,
-    /// When journal appends reach the disk.
+    /// When journal and commit-log appends reach the disk.
     pub fsync: FsyncPolicy,
-    /// Compact (snapshot + truncate the journal) once the journal — any
-    /// one shard's journal, when sharded — exceeds this many bytes.
+    /// Compact (snapshot + truncate the journals) once any one shard's
+    /// journal exceeds this many bytes.
     pub compact_journal_bytes: u64,
     /// Mirror materialized dataset artifacts into per-artifact cold
     /// column files (`cold/cold-<id>.col`, CRC-framed) so the
@@ -210,18 +212,6 @@ impl DurabilityConfig {
     pub fn cold_dir(&self) -> PathBuf {
         self.dir.join("cold")
     }
-
-    /// Path of the snapshot file (single-shard layout).
-    #[must_use]
-    pub fn snapshot_path(&self) -> PathBuf {
-        self.dir.join("eg.egsnap")
-    }
-
-    /// Path of the write-ahead journal (single-shard layout).
-    #[must_use]
-    pub fn journal_path(&self) -> PathBuf {
-        self.dir.join("eg.wal")
-    }
 }
 
 const WEDGED_MSG: &str = "durability layer wedged after repeated failed repair attempts; \
@@ -231,8 +221,7 @@ const WEDGED_MSG: &str = "durability layer wedged after repeated failed repair a
 /// layer is read-only (also the publish-entry repair throttle).
 pub const READ_ONLY_RETRY_HINT_MS: u64 = 250;
 
-/// Health of the durability layer — the graded replacement for the old
-/// binary wedge (DESIGN.md §15).
+/// Health of the durability layer (DESIGN.md §10).
 ///
 /// `Healthy → ReadOnly` on any persistence failure that leaves memory
 /// ahead of disk: the failed publish's delta moves to an in-memory
@@ -297,59 +286,45 @@ fn is_simulated_crash(e: &GraphError) -> bool {
     matches!(e, GraphError::Io(msg) if msg.contains("injected crash at"))
 }
 
-/// Mutable durability state of the single-shard layout, locked *after*
-/// the EG write lock (lock order: eg → durability → stats).
-struct DurabilityState {
-    config: DurabilityConfig,
-    journal: Journal,
-    /// Quarantine entries as last persisted (op_hash → failures) — the
-    /// baseline the publish path diffs against to emit Q+/Q- records.
-    persisted_quarantine: HashMap<OpHash, usize>,
-    /// Graded health: a failed journal append no longer wedges the
-    /// server — the delta joins `backlog`, the layer turns read-only,
-    /// and repair re-appends once the disk recovers.
-    health: DurabilityHealth,
-    /// Deltas that are live in memory but not yet durable, in append
-    /// order. Drained (front first) by a successful repair.
-    backlog: Vec<EgDelta>,
-    /// Consecutive failed counted repair attempts (see
-    /// [`DurabilityConfig::max_repair_attempts`]).
-    repair_attempts: usize,
-}
-
-/// One cross-shard publish awaiting re-append: its per-shard deltas
-/// (ascending shard order), the commit record that seals it, and the
+/// One publish awaiting re-append: its per-shard deltas (ascending
+/// shard order), the commit record that seals it, and the
 /// persisted-quarantine map to install once it lands.
-struct ShardedBacklog {
+struct Backlog {
     deltas: Vec<(usize, EgDelta)>,
     record: CommitRecord,
     quarantine: Option<HashMap<OpHash, usize>>,
 }
 
-/// Durability state of the sharded layout. Lock order within a publish:
-/// shard write locks (ascending) → `persisted_quarantine` → per-shard
-/// journal mutexes (ascending) → commit-log mutex → stats. The
+/// Durability state of a server opened from a data directory. Lock
+/// order within a publish: shard write locks (ascending) →
+/// `persisted_quarantine` → per-shard journal mutexes (ascending) →
+/// commit-log mutex → stats. The
 /// `backlog` mutex is only ever taken with none of those held (the
 /// publish path drops the quarantine guard before backlogging; repair
 /// holds `backlog` outermost and takes the others transiently).
-struct ShardedDurability {
+struct Durability {
     config: DurabilityConfig,
     /// One write-ahead journal per shard.
     journals: Vec<parking_lot::Mutex<Journal>>,
-    /// The cross-shard commit log: a publish is committed iff its
-    /// sequence number appears here. Always locked last.
+    /// The commit log: a publish is committed iff its sequence number
+    /// appears here. Always locked last.
     commit: parking_lot::Mutex<CommitLog>,
-    /// Quarantine entries as last durably persisted. Advanced only
-    /// after the commit record lands, so recovery's view matches.
+    /// Quarantine entries as last durably persisted (op_hash →
+    /// failures) — the baseline the publish path diffs against to emit
+    /// Q+/Q- records. Advanced only after the commit record lands, so
+    /// recovery's view matches.
     persisted_quarantine: parking_lot::Mutex<HashMap<OpHash, usize>>,
-    /// Sharded analogue of [`DurabilityState::health`] (the
-    /// [`DurabilityHealth::as_u64`] code, narrowed to u8).
+    /// Graded health (the [`DurabilityHealth::as_u64`] code, narrowed
+    /// to u8): a failed append does not wedge the server — the publish
+    /// joins `backlog`, the layer turns read-only, and repair re-appends
+    /// once the disk recovers.
     health: AtomicU8,
-    /// Sharded analogue of [`DurabilityState::backlog`]. Entries may
-    /// arrive out of sequence under concurrent failing publishers;
+    /// Publishes that are live in memory but not yet durable. Entries
+    /// may arrive out of sequence under concurrent failing publishers;
     /// repair sorts by sequence number before draining.
-    backlog: parking_lot::Mutex<Vec<ShardedBacklog>>,
-    /// Consecutive failed counted repair attempts.
+    backlog: parking_lot::Mutex<Vec<Backlog>>,
+    /// Consecutive failed counted repair attempts (see
+    /// [`DurabilityConfig::max_repair_attempts`]).
     repair_attempts: AtomicUsize,
     /// Last assigned publish sequence number. Incremented only while
     /// the touched shards' write locks are held, so every shard journal
@@ -357,7 +332,7 @@ struct ShardedDurability {
     seq: AtomicU64,
 }
 
-impl ShardedDurability {
+impl Durability {
     fn health(&self) -> DurabilityHealth {
         DurabilityHealth::from_u64(u64::from(self.health.load(Ordering::SeqCst)))
     }
@@ -367,13 +342,26 @@ impl ShardedDurability {
         // lint:reason health states fit in a u8 by definition
         self.health.store(health.as_u64() as u8, Ordering::SeqCst);
     }
-}
 
-/// Which durability layout the server persists with — decided by
-/// `ServerConfig::shards` at open time.
-enum Durability {
-    Legacy(parking_lot::Mutex<DurabilityState>),
-    Sharded(ShardedDurability),
+    /// Move one failed publish into the backlog and degrade to
+    /// read-only. Called with the shard write locks held but *not* the
+    /// persisted-quarantine guard (dropped by the caller: the backlog
+    /// mutex must never nest inside it — repair holds the backlog
+    /// outermost and takes the quarantine map while draining).
+    fn defer(
+        &self,
+        deltas: Vec<(usize, EgDelta)>,
+        record: CommitRecord,
+        quarantine: Option<HashMap<OpHash, usize>>,
+    ) -> GraphError {
+        self.backlog.lock().push(Backlog {
+            deltas,
+            record,
+            quarantine,
+        });
+        self.set_health(DurabilityHealth::ReadOnly);
+        GraphError::read_only(READ_ONLY_RETRY_HINT_MS)
+    }
 }
 
 /// Cumulative statistics over a server's lifetime — the dashboard
@@ -400,9 +388,12 @@ pub struct ServerStats {
     pub failed_workloads: usize,
     /// Vertices salvaged into the Experiment Graph from failed runs.
     pub salvaged_artifacts: usize,
-    /// Journal records replayed during startup recovery.
+    /// Per-shard journal records applied during startup recovery: those
+    /// beyond their shard's snapshot watermark *and* sealed by a commit
+    /// record. A publish touching k shards contributes k.
     pub journal_records_replayed: usize,
-    /// Torn journal tails detected and truncated during recovery.
+    /// Log files (journals or the commit log) whose torn tail was
+    /// truncated during recovery.
     pub torn_tail_truncated: usize,
     /// Snapshot compactions performed (explicit or threshold-triggered).
     pub snapshots_compacted: usize,
@@ -628,172 +619,58 @@ impl OptimizerServer {
     }
 
     /// Open a crash-safe server from a data directory: remove orphaned
-    /// temp files, load the newest valid snapshot(s), replay the
-    /// journal(s) on top (truncating torn tails instead of failing),
-    /// re-install the persisted quarantine set, and start journaling
-    /// committed workloads. Returns the server and a [`RecoveryReport`]
-    /// describing what recovery found and repaired.
+    /// temp files, load the newest valid per-shard snapshots, replay the
+    /// commit log and then the per-shard journals on top (truncating
+    /// torn tails instead of failing), re-install the persisted
+    /// quarantine set, and start journaling committed workloads. Returns
+    /// the server and a [`RecoveryReport`] describing what recovery
+    /// found and repaired.
     ///
-    /// With `config.shards > 1` the directory uses the sharded layout
-    /// (`eg-k.egsnap` / `eg-k.wal` / `eg.commit`) and recovery
-    /// reconstructs exactly the committed prefix: per-shard journal
-    /// records whose publish never reached the commit log are skipped,
-    /// so a crash between two shards' appends rolls the whole publish
-    /// back. Opening a directory whose on-disk layout disagrees with
-    /// `config.shards` is an error.
+    /// Recovery (`co_graph::shard::recover_shards`) reconstructs exactly
+    /// the committed prefix: per-shard journal records whose publish
+    /// never reached the commit log are skipped, so a crash between two
+    /// shards' appends rolls the whole publish back.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidStructure`] when the directory was written
+    /// with a different shard count than `config.shards`, or holds the
+    /// retired single-journal layout (`eg.wal` / `eg.egsnap`);
+    /// corruption and I/O errors from recovery.
     pub fn open(
         config: ServerConfig,
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport)> {
-        co_graph::vfs::create_dir_all(&durability.dir, None).map_err(|e| {
+        let dir = &durability.dir;
+        co_graph::vfs::create_dir_all(dir, None).map_err(|e| {
             GraphError::Io(format!(
                 "cannot create data directory {}: {e}",
-                durability.dir.display()
+                dir.display()
             ))
         })?;
-        let mut recovery = RecoveryReport::default();
-
         // A crash mid-save leaves `*.tmp` files behind; an interrupted
-        // save never touches the live snapshot or journal, so these are
-        // safe to discard.
-        if let Ok(entries) = co_graph::vfs::read_dir_sorted(&durability.dir, None) {
-            for path in entries {
-                if path.to_string_lossy().ends_with(".tmp")
-                    && co_graph::vfs::remove_file(&path, None).is_ok()
-                {
-                    recovery.stray_tmp_removed += 1;
-                }
+        // save never touches the live snapshots or journals, so these
+        // are safe to discard.
+        let mut recovery = RecoveryReport {
+            stray_tmp_removed: remove_stray_tmps(dir),
+            ..RecoveryReport::default()
+        };
+
+        let n = config.shards.max(1);
+        if let Some(found) = co_graph::fsck::detect_shard_layout(dir) {
+            if found != n {
+                return Err(GraphError::InvalidStructure(format!(
+                    "data directory {} is sharded {found} way(s) but the server is \
+                     configured for {n} shard(s)",
+                    dir.display()
+                )));
             }
         }
-
         let dedup = config.materializer == MaterializerKind::StorageAware;
-        if config.shards.max(1) == 1 {
-            if let Some(found) = co_graph::fsck::detect_shard_layout(&durability.dir) {
-                return Err(GraphError::InvalidStructure(format!(
-                    "data directory {} holds a sharded layout ({found} shards); \
-                     open it with config.shards = {found}",
-                    durability.dir.display()
-                )));
-            }
-            OptimizerServer::open_single(config, durability, dedup, recovery)
-        } else {
-            if durability.snapshot_path().exists() || durability.journal_path().exists() {
-                return Err(GraphError::InvalidStructure(format!(
-                    "data directory {} holds a single-graph layout (eg.egsnap/eg.wal); \
-                     open it with config.shards = 1",
-                    durability.dir.display()
-                )));
-            }
-            if let Some(found) = co_graph::fsck::detect_shard_layout(&durability.dir) {
-                if found != config.shards {
-                    return Err(GraphError::InvalidStructure(format!(
-                        "data directory {} is sharded {found} ways but the server is \
-                         configured for {} shards",
-                        durability.dir.display(),
-                        config.shards
-                    )));
-                }
-            }
-            OptimizerServer::open_sharded(config, durability, dedup, recovery)
-        }
-    }
-
-    /// The single-shard (`shards = 1`) half of [`open`]: one snapshot,
-    /// one journal, byte-identical to the pre-sharding format.
-    ///
-    /// [`open`]: OptimizerServer::open
-    fn open_single(
-        config: ServerConfig,
-        durability: DurabilityConfig,
-        dedup: bool,
-        mut recovery: RecoveryReport,
-    ) -> Result<(Self, RecoveryReport)> {
-        let snapshot_path = durability.snapshot_path();
-        let (mut eg, mut qmap) = if snapshot_path.exists() {
-            let restored = snapshot::load_full(&snapshot_path, dedup)?;
-            recovery.snapshot_loaded = true;
-            let qmap: HashMap<OpHash, (String, usize)> = restored
-                .quarantine
-                .into_iter()
-                .map(|q| (q.op_hash, (q.name, q.failures)))
-                .collect();
-            (restored.graph, qmap)
-        } else {
-            (ExperimentGraph::new(dedup), HashMap::new())
-        };
-
-        let journal_path = durability.journal_path();
-        let outcome = journal::replay(&journal_path)?;
-        for delta in &outcome.deltas {
-            delta.apply(&mut eg)?;
-            for q in &delta.quarantine_set {
-                qmap.insert(q.op_hash, (q.name.clone(), q.failures));
-            }
-            for h in &delta.quarantine_cleared {
-                qmap.remove(h);
-            }
-        }
-        recovery.journal_records_replayed = outcome.deltas.len();
-        if let Some(valid_len) = outcome.torn_at {
-            journal::truncate(&journal_path, valid_len)?;
-            recovery.torn_tail_truncated = true;
-            recovery.torn_bytes_discarded = outcome.bytes_discarded;
-        }
-
-        // In debug builds, fsck the recovered graph before serving from
-        // it: recovery bugs surface here, not workloads later.
-        #[cfg(debug_assertions)]
-        {
-            let fsck = co_graph::fsck::check_graph(&eg);
-            debug_assert!(fsck.is_clean(), "post-recovery fsck failed:\n{fsck}");
-        }
-
-        let journal = Journal::open(&journal_path, durability.fsync)?;
-        let cold = durability
-            .cold_columns
-            .then(|| ColdStore::open(&durability.cold_dir()))
-            .transpose()?;
-        let state = DurabilityState {
-            config: durability,
-            journal,
-            persisted_quarantine: qmap.iter().map(|(op, (_, f))| (*op, *f)).collect(),
-            health: DurabilityHealth::Healthy,
-            backlog: Vec::new(),
-            repair_attempts: 0,
-        };
-        let mut server = OptimizerServer::build(config, ShardedEg::from_graphs(vec![eg], None));
-        server.cold = cold;
-        if let Some(quarantine) = &server.quarantine {
-            for (op, (name, failures)) in &qmap {
-                quarantine.restore(*op, name, *failures);
-            }
-            recovery.quarantine_restored = qmap.len();
-        }
-        server.durability = Some(Durability::Legacy(parking_lot::Mutex::new(state)));
-        {
-            let mut stats = server.stats[0].lock();
-            stats.journal_records_replayed = recovery.journal_records_replayed;
-            stats.torn_tail_truncated = usize::from(recovery.torn_tail_truncated);
-        }
-        Ok((server, recovery))
-    }
-
-    /// The sharded (`shards = N`) half of [`open`]: N snapshot/journal
-    /// pairs plus the commit log, replayed to exactly the committed
-    /// prefix by `co_graph::shard::recover_shards`.
-    ///
-    /// [`open`]: OptimizerServer::open
-    fn open_sharded(
-        config: ServerConfig,
-        durability: DurabilityConfig,
-        dedup: bool,
-        mut recovery: RecoveryReport,
-    ) -> Result<(Self, RecoveryReport)> {
-        let n = config.shards;
-        let rec = shard::recover_shards(&durability.dir, n, dedup)?;
+        let rec = shard::recover_shards(dir, n, dedup)?;
         if !rec.unresolved_links.is_empty() {
             return Err(GraphError::InvalidStructure(format!(
-                "sharded recovery left {} cross-shard child link(s) unresolved — \
+                "recovery left {} child link(s) unresolved — \
                  the data directory is corrupt (run egfsck)",
                 rec.unresolved_links.len()
             )));
@@ -801,15 +678,15 @@ impl OptimizerServer {
         for (path, valid_len, _) in &rec.torn {
             journal::truncate(path, *valid_len)?;
         }
-        recovery.snapshot_loaded =
-            (0..n).any(|k| durability.dir.join(shard::shard_snapshot_file(k)).exists());
+        recovery.snapshot_loaded = (0..n).any(|k| dir.join(shard::shard_snapshot_file(k)).exists());
         recovery.journal_records_replayed = rec.deltas_applied;
         recovery.journal_records_skipped = rec.deltas_skipped;
         recovery.committed_publishes = rec.committed_publishes;
         recovery.torn_tail_truncated = !rec.torn.is_empty();
         recovery.torn_bytes_discarded = rec.torn.iter().map(|(.., b)| *b).sum();
 
-        // In debug builds, fsck the recovered shards before serving.
+        // In debug builds, fsck the recovered shards before serving from
+        // them: recovery bugs surface here, not workloads later.
         #[cfg(debug_assertions)]
         {
             let refs: Vec<&ExperimentGraph> = rec.graphs.iter().collect();
@@ -819,51 +696,44 @@ impl OptimizerServer {
 
         let journals = (0..n)
             .map(|k| {
-                Journal::open(
-                    &durability.dir.join(shard::shard_journal_file(k)),
-                    durability.fsync,
-                )
-                .map(parking_lot::Mutex::new)
+                Journal::open(&dir.join(shard::shard_journal_file(k)), durability.fsync)
+                    .map(parking_lot::Mutex::new)
             })
             .collect::<Result<Vec<_>>>()?;
-        let commit = CommitLog::open(&durability.dir.join(shard::COMMIT_FILE))?;
-
-        let qmap: HashMap<OpHash, (String, usize)> = rec
-            .quarantine
-            .iter()
-            .map(|q| (q.op_hash, (q.name.clone(), q.failures)))
-            .collect();
+        let commit = CommitLog::open(&dir.join(shard::COMMIT_FILE), durability.fsync)?;
         let cold = durability
             .cold_columns
             .then(|| ColdStore::open(&durability.cold_dir()))
             .transpose()?;
-        let sharded = ShardedDurability {
+
+        let mut server =
+            OptimizerServer::build(config, ShardedEg::from_graphs(rec.graphs, rec.vault));
+        server.cold = cold;
+        if let Some(quarantine) = &server.quarantine {
+            for q in &rec.quarantine {
+                quarantine.restore(q.op_hash, &q.name, q.failures);
+            }
+            recovery.quarantine_restored = rec.quarantine.len();
+        }
+        server.durability = Some(Durability {
             config: durability,
             journals,
             commit: parking_lot::Mutex::new(commit),
             persisted_quarantine: parking_lot::Mutex::new(
-                qmap.iter().map(|(op, (_, f))| (*op, *f)).collect(),
+                rec.quarantine
+                    .iter()
+                    .map(|q| (q.op_hash, q.failures))
+                    .collect(),
             ),
             health: AtomicU8::new(0),
             backlog: parking_lot::Mutex::new(Vec::new()),
             repair_attempts: AtomicUsize::new(0),
             seq: AtomicU64::new(rec.max_seq),
-        };
-        let torn_tails = rec.torn.len();
-        let mut server =
-            OptimizerServer::build(config, ShardedEg::from_graphs(rec.graphs, rec.vault));
-        server.cold = cold;
-        if let Some(quarantine) = &server.quarantine {
-            for (op, (name, failures)) in &qmap {
-                quarantine.restore(*op, name, *failures);
-            }
-            recovery.quarantine_restored = qmap.len();
-        }
-        server.durability = Some(Durability::Sharded(sharded));
+        });
         {
             let mut stats = server.stats[0].lock();
             stats.journal_records_replayed = recovery.journal_records_replayed;
-            stats.torn_tail_truncated = torn_tails;
+            stats.torn_tail_truncated = rec.torn.len();
         }
         Ok((server, recovery))
     }
@@ -934,8 +804,8 @@ impl OptimizerServer {
 
     /// Pipeline stage 2 (paper step 3): plan reuse against the Experiment
     /// Graph and capture the execution snapshot — planned loads fetched
-    /// up front as Arc clones, warmstart candidates prefetched. The EG
-    /// read lock (every shard's, when sharded) is held only for the
+    /// up front as Arc clones, warmstart candidates prefetched. Every
+    /// shard's read lock is held — a consistent cut — only for the
     /// duration of this call; the returned [`PlannedWorkload`] executes
     /// without touching the graph.
     pub fn plan_workload(
@@ -943,32 +813,18 @@ impl OptimizerServer {
         pruned: PrunedWorkload,
     ) -> std::result::Result<PlannedWorkload, WorkloadError> {
         let PrunedWorkload { dag } = pruned;
-        if self.eg.n_shards() == 1 {
-            let eg = self.eg.read(0);
-            let start = Instant::now();
-            let plan = self.planner.plan(&dag, &*eg, &self.config.cost);
-            let optimizer_seconds = start.elapsed().as_secs_f64();
-            let snapshot = executor::snapshot(&dag, &plan, &*eg, &self.executor_config())
-                .map_err(WorkloadError::from)?;
-            Ok(PlannedWorkload {
-                dag,
-                snapshot,
-                optimizer_seconds,
-            })
-        } else {
-            let guards = self.eg.read_all();
-            let view = EgView::new(guards.iter().map(|g| &**g).collect());
-            let start = Instant::now();
-            let plan = self.planner.plan(&dag, &view, &self.config.cost);
-            let optimizer_seconds = start.elapsed().as_secs_f64();
-            let snapshot = executor::snapshot(&dag, &plan, &view, &self.executor_config())
-                .map_err(WorkloadError::from)?;
-            Ok(PlannedWorkload {
-                dag,
-                snapshot,
-                optimizer_seconds,
-            })
-        }
+        let guards = self.eg.read_all();
+        let view = EgView::new(guards.iter().map(|g| &**g).collect());
+        let start = Instant::now();
+        let plan = self.planner.plan(&dag, &view, &self.config.cost);
+        let optimizer_seconds = start.elapsed().as_secs_f64();
+        let snapshot = executor::snapshot(&dag, &plan, &view, &self.executor_config())
+            .map_err(WorkloadError::from)?;
+        Ok(PlannedWorkload {
+            dag,
+            snapshot,
+            optimizer_seconds,
+        })
     }
 
     /// Pipeline stage 4 (paper step 5): merge the executed DAG into the
@@ -979,32 +835,19 @@ impl OptimizerServer {
     /// never wait on a running computation. A failed run with a taint
     /// mask still merges (salvages) its untainted prefix.
     ///
-    /// On a durable server ([`OptimizerServer::open`]) the workload's EG
-    /// delta is appended to the write-ahead journal inside the same
-    /// critical section; if that append fails, the workload is reported
-    /// failed and the durability layer wedges — every later persist
-    /// refuses — until the server restarts from its data directory.
+    /// Only the shards the workload's artifacts hash to are
+    /// write-locked, in ascending shard order (two publishers acquiring
+    /// ordered subsets can never deadlock); each vertex merges into its
+    /// owning shard and child links are wired on the parent's shard.
     ///
-    /// On a sharded server only the shards the workload's artifacts hash
-    /// to are write-locked, in ascending shard order (two publishers
-    /// acquiring ordered subsets can never deadlock); each touched
+    /// On a durable server ([`OptimizerServer::open`]) each touched
     /// shard's journal receives its own delta under one shared sequence
-    /// number, and the publish becomes durable exactly when the
-    /// cross-shard commit record lands.
+    /// number inside the same critical section, and the publish becomes
+    /// durable exactly when the commit record lands. If persisting
+    /// fails, the workload is reported failed, its delta joins the
+    /// in-memory backlog and the durability layer turns read-only until
+    /// repair drains it (DESIGN.md §10).
     pub fn publish_workload(
-        &self,
-        executed: ExecutedWorkload,
-    ) -> std::result::Result<(WorkloadDag, ExecutionReport), WorkloadError> {
-        if self.eg.n_shards() == 1 {
-            self.publish_single(executed)
-        } else {
-            self.publish_sharded(executed)
-        }
-    }
-
-    /// The classic single-shard publish: one write lock over the whole
-    /// graph, one journal append.
-    fn publish_single(
         &self,
         executed: ExecutedWorkload,
     ) -> std::result::Result<(WorkloadDag, ExecutionReport), WorkloadError> {
@@ -1022,99 +865,18 @@ impl OptimizerServer {
             report.materializer_seconds = start.elapsed().as_secs_f64();
             return finish_publish(dag, report, failure, Some(error));
         }
-        let mut persist_error = None;
-        {
-            let mut eg = self.eg.write(0);
-            // With durability on, note which merged artifacts are new to
-            // the graph (vs merely touched) and the pre-publish mat set,
-            // so the journal delta can be diffed after the merge.
-            let capture = self
-                .durability
-                .as_ref()
-                .map(|_| DeltaCapture::before(&eg, &dag, failure.as_ref()));
-            match &failure {
-                None => eg.update_with_workload(&dag)?,
-                Some(f) if f.tainted.len() == dag.n_nodes() => {
-                    let keep: Vec<bool> = f.tainted.iter().map(|t| !t).collect();
-                    eg.update_with_workload_partial(&dag, &keep)?;
-                }
-                // Failed before execution (bad plan, no terminals):
-                // nothing to merge.
-                Some(_) => {}
-            }
-            // Executed values merge back as Arc clones: the store and
-            // the returned DAG share the same allocations.
-            let available = available_contents(&dag);
-            self.materializer
-                .run(&mut eg, &available, &self.config.cost);
-            reconcile_restored_flags(&mut eg);
-            if self.cold.is_some() {
-                self.record_recipes(&dag, failure.as_ref());
-                let faults = eg.storage().fault_injector().map(Arc::clone);
-                self.write_cold(&available, faults.as_deref(), |id| {
-                    eg.storage().contains(id)
-                });
-            }
-            let baseline = baseline_cost(&dag, &eg);
-            if let (Some(Durability::Legacy(durability)), Some(capture)) =
-                (&self.durability, capture)
-            {
-                let mut dur = durability.lock();
-                persist_error = self.persist_delta(&eg, &mut dur, &capture).err();
-            }
-            // In debug builds, fsck the graph while still inside the
-            // critical section: an invariant break is pinned to the
-            // publication that introduced it.
-            #[cfg(debug_assertions)]
-            {
-                let fsck = co_graph::fsck::check_graph(&eg);
-                debug_assert!(fsck.is_clean(), "post-publish fsck failed:\n{fsck}");
-            }
-            self.stats[0].lock().fold_publish(
-                &report,
-                baseline,
-                failure.as_ref(),
-                persist_error.is_some(),
-            );
-        }
-        report.materializer_seconds = start.elapsed().as_secs_f64();
-        finish_publish(dag, report, failure, persist_error)
-    }
 
-    /// The sharded publish: write-lock exactly the touched shards in
-    /// ascending order, merge each vertex into its owning shard, wire
-    /// child links on the parent's shard, materialize within a first-fit
-    /// budget scope, and journal per-shard deltas sealed by a
-    /// cross-shard commit record.
-    fn publish_sharded(
-        &self,
-        executed: ExecutedWorkload,
-    ) -> std::result::Result<(WorkloadDag, ExecutionReport), WorkloadError> {
-        let ExecutedWorkload {
-            dag,
-            mut report,
-            failure,
-        } = executed;
-        let start = Instant::now();
-        // Same pre-merge rejection as the single-shard path.
-        if let Some(error) = self.degraded_reject() {
-            self.reject_publish(&report, failure.as_ref(), &error);
-            report.materializer_seconds = start.elapsed().as_secs_f64();
-            return finish_publish(dag, report, failure, Some(error));
-        }
-
-        // Which nodes merge — the same salvage rules as the single-shard
-        // path (None: all; full taint mask: the untainted prefix;
-        // pre-execution failure: nothing).
+        // Which nodes merge (None: all; full taint mask: the untainted
+        // prefix; failed before execution — bad plan, no terminals —
+        // nothing).
         let n_nodes = dag.n_nodes();
         let merged: Vec<bool> = match &failure {
             None => vec![true; n_nodes],
             Some(f) if f.tainted.len() == n_nodes => f.tainted.iter().map(|t| !t).collect(),
             Some(_) => vec![false; n_nodes],
         };
-        // The mask must be ancestor-closed (update_with_workload_partial
-        // enforces the same): child wiring below assumes a kept node's
-        // parents are merged — and therefore locked.
+        // The mask must be ancestor-closed: child wiring below assumes
+        // a kept node's parents are merged — and therefore locked.
         for (i, m) in merged.iter().enumerate() {
             if *m {
                 for p in dag.parents(co_graph::NodeId(i)) {
@@ -1127,22 +889,17 @@ impl OptimizerServer {
             }
         }
 
-        let sharded_dur = match &self.durability {
-            Some(Durability::Sharded(d)) => Some(d),
-            _ => None,
-        };
-
         // Quarantine records live in shard 0's journal only, so a
         // pending quarantine diff pulls shard 0 into the lock set. The
         // diff is recomputed against this same snapshot inside the
         // critical section (under shard 0's lock).
-        let mut current_quarantine = self
-            .quarantine
-            .as_ref()
-            .map(|q| q.entries())
-            .unwrap_or_default();
-        current_quarantine.sort_by_key(|(op, ..)| *op);
-        let quarantine_dirty = sharded_dur.is_some_and(|d| {
+        let durability = self.durability.as_ref();
+        let mut current_quarantine = Vec::new();
+        if let (Some(_), Some(q)) = (durability, &self.quarantine) {
+            current_quarantine = q.entries();
+            current_quarantine.sort_by_key(|(op, ..)| *op);
+        }
+        let quarantine_dirty = durability.is_some_and(|d| {
             quarantine_diff(&current_quarantine, &d.persisted_quarantine.lock()).is_some()
         });
 
@@ -1168,31 +925,43 @@ impl OptimizerServer {
         } else {
             // Ordered-lock protocol: ascending shard indices, held
             // through merge, materialization, journaling and commit.
-            let shard_list: Vec<usize> = touched.iter().copied().collect();
+            let shard_list: Vec<usize> = touched.into_iter().collect();
             let mut guards = self.eg.write_set(&shard_list);
-            let pos: HashMap<usize, usize> = shard_list
-                .iter()
-                .enumerate()
-                .map(|(gi, k)| (*k, gi))
-                .collect();
+            // Shard index → position in `guards` (unlocked: usize::MAX).
+            let mut pos = vec![usize::MAX; self.eg.n_shards()];
+            for (gi, k) in shard_list.iter().enumerate() {
+                pos[*k] = gi;
+            }
+            let guard_of = |id: ArtifactId| pos[self.eg.shard_index(id)];
 
-            // Pre-merge capture per locked shard: which merged artifacts
-            // are new vs merely touched, and the pre-publish mat sets.
-            let mut new_ids: Vec<Vec<ArtifactId>> = vec![Vec::new(); guards.len()];
-            let mut touched_ids: Vec<Vec<ArtifactId>> = vec![Vec::new(); guards.len()];
-            let mut seen = HashSet::new();
-            for (i, node) in dag.nodes().iter().enumerate() {
-                if merged[i] && seen.insert(node.artifact) {
-                    let gi = pos[&self.eg.shard_index(node.artifact)];
-                    if guards[gi].1.contains(node.artifact) {
-                        touched_ids[gi].push(node.artifact);
-                    } else {
-                        new_ids[gi].push(node.artifact);
+            // With durability on, note per locked shard which merged
+            // artifacts are new (vs merely touched) and the pre-publish
+            // mat set, so the journal deltas can be diffed after the
+            // merge. Skipped otherwise: the mat set alone is
+            // O(materialized) per publish.
+            let capture = durability.map(|_| {
+                let mut capture: Vec<ShardCapture> = guards
+                    .iter()
+                    .map(|(_, g)| ShardCapture {
+                        mat_before: mat_set(g),
+                        ..ShardCapture::default()
+                    })
+                    .collect();
+                let mut seen = HashSet::new();
+                // DAG order is parents-first, so `new_ids` lists new
+                // vertices in an order the journal can replay.
+                for (i, node) in dag.nodes().iter().enumerate() {
+                    if merged[i] && seen.insert(node.artifact) {
+                        let gi = guard_of(node.artifact);
+                        if guards[gi].1.contains(node.artifact) {
+                            capture[gi].touched_ids.push(node.artifact);
+                        } else {
+                            capture[gi].new_ids.push(node.artifact);
+                        }
                     }
                 }
-            }
-            let mat_before: Vec<BTreeSet<ArtifactId>> =
-                guards.iter().map(|(_, g)| mat_set(g)).collect();
+                capture
+            });
 
             // Merge every kept node into its owning shard; child links
             // are wired on the parent's shard (locked, because the mask
@@ -1201,58 +970,48 @@ impl OptimizerServer {
                 if !merged[i] {
                     continue;
                 }
-                let gi = pos[&self.eg.shard_index(node.artifact)];
-                let inserted = guards[gi].1.merge_workload_node(&dag, i)?;
+                let inserted = guards[guard_of(node.artifact)]
+                    .1
+                    .merge_workload_node(&dag, i)?;
                 if inserted {
                     for p in dag.parents(co_graph::NodeId(i)) {
                         let parent = dag.nodes()[p.0].artifact;
-                        let pg = pos[&self.eg.shard_index(parent)];
-                        guards[pg].1.add_child_link(parent, node.artifact)?;
+                        guards[guard_of(parent)]
+                            .1
+                            .add_child_link(parent, node.artifact)?;
                     }
                 }
             }
 
+            // Executed values merge back as Arc clones: the store and
+            // the returned DAG share the same allocations.
             let available = available_contents(&dag);
-            self.materialize_sharded(&mut guards, &pos, &dag, &merged, &available);
+            self.materialize(&mut guards, &pos, &dag, &merged, &available);
             for (_, g) in &mut guards {
                 reconcile_restored_flags(g);
             }
             if self.cold.is_some() {
-                self.record_recipes(&dag, failure.as_ref());
-                let faults = guards
-                    .first()
-                    .and_then(|(_, g)| g.storage().fault_injector().map(Arc::clone));
+                self.record_recipes(&dag, &merged);
+                let faults = guards[0].1.storage().fault_injector().map(Arc::clone);
                 self.write_cold(&available, faults.as_deref(), |id| {
-                    pos.get(&self.eg.shard_index(id))
-                        .is_some_and(|gi| guards[*gi].1.storage().contains(id))
+                    guards
+                        .get(guard_of(id))
+                        .is_some_and(|(_, g)| g.storage().contains(id))
                 });
             }
-            let baseline = baseline_cost_with(&dag, |id| {
-                pos.get(&self.eg.shard_index(id))
-                    .and_then(|gi| guards[*gi].1.vertex(id).ok())
-                    .map(|v| v.compute_time)
+            let baseline = baseline_cost(&dag, |id| {
+                let (_, g) = guards.get(guard_of(id))?;
+                g.vertex(id).ok().map(|v| v.compute_time)
             });
 
-            if let Some(dur) = sharded_dur {
+            if let (Some(dur), Some(capture)) = (durability, &capture) {
                 persist_error = self
-                    .persist_sharded(
-                        dur,
-                        &guards,
-                        &new_ids,
-                        &touched_ids,
-                        &mat_before,
-                        &current_quarantine,
-                        quarantine_dirty,
-                    )
+                    .persist(dur, &guards, capture, &current_quarantine, quarantine_dirty)
                     .err();
             }
-            // (No per-shard debug fsck here: a lone shard legitimately
-            // holds child links into shards this publish did not lock.
-            // The sharded invariants are checked by `egfsck`, recovery,
-            // and the crash-matrix tests.)
 
-            // Satellite fix: fold the stats while the shard locks are
-            // still held, so stats() can never lag the graph.
+            // Fold the stats while the shard locks are still held, so
+            // stats() can never lag the graph.
             self.stats[shard_list[0]].lock().fold_publish(
                 &report,
                 baseline,
@@ -1264,40 +1023,64 @@ impl OptimizerServer {
 
         // Threshold compaction runs after the publish locks are
         // released: compaction takes every shard lock and parking_lot
-        // locks are not reentrant. Best-effort, like the single-shard
-        // threshold path.
-        if persist_error.is_none() {
-            if let Some(dur) = sharded_dur {
-                if dur.health() == DurabilityHealth::Healthy
-                    && dur
-                        .journals
-                        .iter()
-                        .any(|j| j.lock().len_bytes() > dur.config.compact_journal_bytes)
-                {
-                    let _ = self.compact();
-                }
+        // locks are not reentrant. A failure here is survivable — the
+        // deltas are already durable in the journals and an interrupted
+        // snapshot save only leaves a temp file — so it is swallowed
+        // and the next publish retries.
+        if let (None, Some(dur)) = (&persist_error, durability) {
+            if dur.health() == DurabilityHealth::Healthy
+                && dur
+                    .journals
+                    .iter()
+                    .any(|j| j.lock().len_bytes() > dur.config.compact_journal_bytes)
+            {
+                let _ = self.compact();
             }
         }
 
         finish_publish(dag, report, failure, persist_error)
     }
 
-    /// Materialization for sharded publishes. The full utility-ranked
+    /// Materialization — the one step of a publish that depends on how
+    /// much of the graph the publish holds.
+    ///
+    /// A publish that holds the whole graph (one shard) runs the
+    /// configured materializer exactly as the paper writes it
+    /// (Algorithms 1–2, §5.3): utilities ranked over every vertex,
+    /// admission and eviction against the budget.
+    ///
+    /// A publish that holds a subset cannot: the utility-ranked
     /// algorithms walk one whole graph under one lock, which a sharded
-    /// publish deliberately avoids; instead each budgeted materializer
-    /// degrades to first-fit over the publishing workload's computed
-    /// values, admitting a value only when a *lower bound* on global
-    /// usage (the shared column vault plus every locked shard's local
-    /// bytes) leaves room in the budget. `All` stores everything, `None`
-    /// nothing — identical to their single-shard behavior.
-    fn materialize_sharded(
+    /// publish deliberately avoids. Each budgeted materializer degrades
+    /// to first-fit over the publishing workload's computed values,
+    /// admitting a value only when a *lower bound* on global usage (the
+    /// shared column vault plus every locked shard's local bytes) leaves
+    /// room in the budget. `All` stores everything, `None` nothing —
+    /// as they do on the whole graph.
+    fn materialize(
         &self,
-        guards: &mut [(usize, co_graph::ShardWriteGuard<'_>)],
-        pos: &HashMap<usize, usize>,
+        guards: &mut [(usize, ShardWriteGuard<'_>)],
+        pos: &[usize],
         dag: &WorkloadDag,
         merged: &[bool],
         available: &HashMap<ArtifactId, Value>,
     ) {
+        if self.eg.n_shards() == 1 {
+            let eg = &mut *guards[0].1;
+            self.materializer.run(eg, available, &self.config.cost);
+            // In debug builds, fsck the graph while still inside the
+            // critical section: an invariant break is pinned to the
+            // publication that introduced it. (A lone shard of several
+            // legitimately holds child links into shards this publish
+            // did not lock; those invariants are checked by `egfsck`,
+            // recovery, and the crash-matrix tests.)
+            #[cfg(debug_assertions)]
+            {
+                let fsck = co_graph::fsck::check_graph(eg);
+                debug_assert!(fsck.is_clean(), "post-publish fsck failed:\n{fsck}");
+            }
+            return;
+        }
         if self.config.materializer == MaterializerKind::None {
             return;
         }
@@ -1316,7 +1099,7 @@ impl OptimizerServer {
             if matches!(value, Value::Aggregate(_)) {
                 continue;
             }
-            let gi = pos[&self.eg.shard_index(node.artifact)];
+            let gi = pos[self.eg.shard_index(node.artifact)];
             if guards[gi].1.storage().contains(node.artifact) {
                 continue;
             }
@@ -1324,7 +1107,7 @@ impl OptimizerServer {
                 let marginal = guards[gi].1.storage().marginal_bytes(value);
                 // Lower bound on global usage: the shared vault plus every
                 // locked shard's local bytes (unlocked shards' non-vault
-                // bytes are invisible here — see DESIGN.md §14).
+                // bytes are invisible here — see DESIGN.md §10).
                 let local: u64 = guards.iter().map(|(_, g)| g.storage().unique_bytes()).sum();
                 let used = self.eg.vault().map_or(0, |v| v.unique_bytes()) + local;
                 if used.saturating_add(marginal) > self.config.budget {
@@ -1335,18 +1118,15 @@ impl OptimizerServer {
         }
     }
 
-    /// Append this publish's per-shard journal deltas and the
-    /// cross-shard commit record. Called with the touched shards'
-    /// write locks held (ascending); journal mutexes are taken in the
-    /// same ascending order, the commit-log mutex last.
-    #[allow(clippy::too_many_arguments)] // lint:reason the sharded persist pipeline threads its full context explicitly
-    fn persist_sharded(
+    /// Append this publish's per-shard journal deltas and the commit
+    /// record. Called with the touched shards' write locks held
+    /// (ascending); journal mutexes are taken in the same ascending
+    /// order, the commit-log mutex last.
+    fn persist(
         &self,
-        dur: &ShardedDurability,
-        guards: &[(usize, co_graph::ShardWriteGuard<'_>)],
-        new_ids: &[Vec<ArtifactId>],
-        touched_ids: &[Vec<ArtifactId>],
-        mat_before: &[BTreeSet<ArtifactId>],
+        dur: &Durability,
+        guards: &[(usize, ShardWriteGuard<'_>)],
+        capture: &[ShardCapture],
         current_quarantine: &[(OpHash, String, usize)],
         quarantine_dirty: bool,
     ) -> Result<()> {
@@ -1354,24 +1134,17 @@ impl OptimizerServer {
             return Err(GraphError::Io(WEDGED_MSG.to_owned()));
         }
         let mut deltas: Vec<EgDelta> = Vec::with_capacity(guards.len());
-        for (gi, (_, g)) in guards.iter().enumerate() {
+        for ((_, g), before) in guards.iter().zip(capture) {
             let mut delta = EgDelta::default();
-            for id in &new_ids[gi] {
+            for id in &before.new_ids {
                 delta.new_vertices.push(g.vertex(*id)?.clone());
             }
-            for id in &touched_ids[gi] {
-                let v = g.vertex(*id)?;
-                delta.touched.push(VertexTouch {
-                    id: *id,
-                    frequency: v.frequency,
-                    compute_time: v.compute_time,
-                    size: v.size,
-                    quality: v.quality,
-                });
+            for id in &before.touched_ids {
+                delta.touched.push(VertexTouch::of(g.vertex(*id)?));
             }
             let mat_after = mat_set(g);
-            delta.mat_added = mat_after.difference(&mat_before[gi]).copied().collect();
-            delta.mat_removed = mat_before[gi].difference(&mat_after).copied().collect();
+            delta.mat_added = mat_after.difference(&before.mat_before).copied().collect();
+            delta.mat_removed = before.mat_before.difference(&mat_after).copied().collect();
             deltas.push(delta);
         }
         // Quarantine records are confined to shard 0. The diff is
@@ -1393,9 +1166,7 @@ impl OptimizerServer {
         // the ordered protocol is held: each shard journal's sequence
         // numbers appear in increasing order.
         let seq = dur.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        let faults = guards
-            .first()
-            .and_then(|(_, g)| g.storage().fault_injector().map(Arc::clone));
+        let faults = guards[0].1.storage().fault_injector().map(Arc::clone);
         let mut pending: Vec<(usize, EgDelta)> = Vec::new();
         for (gi, (k, _)) in guards.iter().enumerate() {
             if deltas[gi].is_empty() {
@@ -1408,14 +1179,7 @@ impl OptimizerServer {
         if pending.is_empty() {
             return Ok(());
         }
-        let record = CommitRecord {
-            seq,
-            shards: pending
-                .iter()
-                // co-lint:allow(no-panic) shard counts are small configuration values, far below u32::MAX
-                .map(|(k, _)| u32::try_from(*k).expect("shard index fits u32"))
-                .collect(),
-        };
+        let record = CommitRecord::new(seq, pending.iter().map(|(k, _)| *k));
         // The persisted-quarantine map this publish installs once it is
         // durable — either immediately below, or at backlog-drain time.
         let quarantine_target: Option<HashMap<OpHash, usize>> = persisted.is_some().then(|| {
@@ -1431,7 +1195,7 @@ impl OptimizerServer {
         // repaired) journals must not be touched from here.
         if dur.health() == DurabilityHealth::ReadOnly {
             persisted.take();
-            return Err(self.backlog_sharded(dur, pending, record, quarantine_target));
+            return Err(dur.defer(pending, record, quarantine_target));
         }
 
         let mut append_error: Option<GraphError> = None;
@@ -1464,7 +1228,7 @@ impl OptimizerServer {
                 return Err(e);
             }
             persisted.take();
-            return Err(self.backlog_sharded(dur, pending, record, quarantine_target));
+            return Err(dur.defer(pending, record, quarantine_target));
         }
         if let (Some(persisted), Some(target)) = (&mut persisted, quarantine_target) {
             **persisted = target;
@@ -1472,126 +1236,13 @@ impl OptimizerServer {
         Ok(())
     }
 
-    /// Move one failed cross-shard publish into the durability backlog
-    /// and degrade to read-only. Called with the shard write locks held
-    /// but *not* the persisted-quarantine guard (dropped by the caller:
-    /// the backlog mutex must never nest inside it — repair holds the
-    /// backlog outermost and takes the quarantine map while draining).
-    fn backlog_sharded(
-        &self,
-        dur: &ShardedDurability,
-        deltas: Vec<(usize, EgDelta)>,
-        record: CommitRecord,
-        quarantine: Option<HashMap<OpHash, usize>>,
-    ) -> GraphError {
-        dur.backlog.lock().push(ShardedBacklog {
-            deltas,
-            record,
-            quarantine,
-        });
-        dur.set_health(DurabilityHealth::ReadOnly);
-        GraphError::read_only(READ_ONLY_RETRY_HINT_MS)
-    }
-
-    /// Build and append this publish's journal delta, then compact if
-    /// the journal crossed its size threshold. Called with the EG write
-    /// lock held and the durability state locked (single-shard layout).
-    fn persist_delta(
-        &self,
-        eg: &ExperimentGraph,
-        dur: &mut DurabilityState,
-        capture: &DeltaCapture,
-    ) -> Result<()> {
-        if dur.health == DurabilityHealth::Wedged {
-            return Err(GraphError::Io(WEDGED_MSG.to_owned()));
-        }
-        let mut delta = EgDelta::default();
-        for id in &capture.new_ids {
-            delta.new_vertices.push(eg.vertex(*id)?.clone());
-        }
-        for id in &capture.touched_ids {
-            let v = eg.vertex(*id)?;
-            delta.touched.push(VertexTouch {
-                id: *id,
-                frequency: v.frequency,
-                compute_time: v.compute_time,
-                size: v.size,
-                quality: v.quality,
-            });
-        }
-        let mat_after = mat_set(eg);
-        delta.mat_added = mat_after.difference(&capture.mat_before).copied().collect();
-        delta.mat_removed = capture.mat_before.difference(&mat_after).copied().collect();
-        let mut current = self
-            .quarantine
-            .as_ref()
-            .map(|q| q.entries())
-            .unwrap_or_default();
-        current.sort_by_key(|(op, ..)| *op);
-        if let Some((set, cleared)) = quarantine_diff(&current, &dur.persisted_quarantine) {
-            delta.quarantine_set = set;
-            delta.quarantine_cleared = cleared;
-        }
-        if delta.is_empty() {
-            return Ok(());
-        }
-        // A publish that raced past the entry gate while read-only:
-        // memory already merged it, so the delta must reach the backlog
-        // (not the damaged journal) for repair to re-append.
-        if dur.health == DurabilityHealth::ReadOnly {
-            dur.backlog.push(delta);
-            return Err(GraphError::read_only(READ_ONLY_RETRY_HINT_MS));
-        }
-        let faults = eg.storage().fault_injector().map(|f| &**f);
-        if let Err(e) = dur.journal.append(&delta, faults) {
-            if is_simulated_crash(&e) {
-                dur.health = DurabilityHealth::Wedged;
-                return Err(e);
-            }
-            // Live I/O failure: keep serving read-only, queue the delta
-            // for repair, and reject this publish retriably.
-            dur.backlog.push(delta);
-            dur.health = DurabilityHealth::ReadOnly;
-            return Err(GraphError::read_only(READ_ONLY_RETRY_HINT_MS));
-        }
-        dur.persisted_quarantine = current
-            .into_iter()
-            .map(|(op, _, failures)| (op, failures))
-            .collect();
-        // Threshold-triggered compaction. A failure here is survivable —
-        // the delta is already durable in the journal and an interrupted
-        // snapshot save only leaves a temp file — so it is swallowed and
-        // the next publish retries.
-        if dur.journal.len_bytes() > dur.config.compact_journal_bytes
-            && self.compact_locked(eg, dur).is_ok()
-        {
-            self.stats[0].lock().snapshots_compacted += 1;
-        }
-        Ok(())
-    }
-
-    /// Write a fresh snapshot (atomically) and truncate the journal.
-    /// The snapshot is renamed into place *before* the journal resets,
-    /// so a crash between the two leaves a newer snapshot plus a journal
-    /// whose records replay idempotently (absolute values).
-    fn compact_locked(&self, eg: &ExperimentGraph, dur: &mut DurabilityState) -> Result<()> {
-        let entries = sorted_quarantine_entries(self.quarantine.as_deref());
-        let faults = eg.storage().fault_injector().map(|f| &**f);
-        snapshot::save_with(eg, &entries, &dur.config.snapshot_path(), faults)?;
-        dur.journal.reset(faults)?;
-        dur.persisted_quarantine = entries.iter().map(|q| (q.op_hash, q.failures)).collect();
-        Ok(())
-    }
-
-    /// Compact durable state now: snapshot the current graph and
-    /// quarantine set atomically, then truncate the journal(s). A no-op
-    /// `Ok(())` on a server without durability.
-    ///
-    /// On a sharded server this takes every shard's write lock, writes
-    /// one watermarked snapshot per shard, resets the per-shard
-    /// journals, and resets the commit log *last*: a crash anywhere in
-    /// between leaves snapshots whose watermarks already cover every
-    /// committed sequence number, so replay skips the stale records.
+    /// Compact durable state now: take every shard's write lock, write
+    /// one watermarked snapshot per shard (atomically; shard 0's carries
+    /// the quarantine set), reset the per-shard journals, and reset the
+    /// commit log *last*: a crash anywhere in between leaves snapshots
+    /// whose watermarks already cover every committed sequence number,
+    /// so replay skips the stale records. A no-op `Ok(())` on a server
+    /// without durability.
     pub fn compact(&self) -> Result<()> {
         match self.durability_health() {
             DurabilityHealth::Healthy => {}
@@ -1600,56 +1251,42 @@ impl OptimizerServer {
             }
             DurabilityHealth::Wedged => return Err(GraphError::Io(WEDGED_MSG.to_owned())),
         }
-        match &self.durability {
-            None => Ok(()),
-            Some(Durability::Legacy(durability)) => {
-                {
-                    let eg = self.eg.read(0);
-                    let mut dur = durability.lock();
-                    self.compact_locked(&eg, &mut dur)?;
-                }
-                self.stats[0].lock().snapshots_compacted += 1;
-                Ok(())
+        let Some(dur) = &self.durability else {
+            return Ok(());
+        };
+        {
+            let guards = self.eg.write_all();
+            // Every sequence number at or below the counter belongs to
+            // a finished publish (publishers hold their shard locks
+            // from seq assignment to commit, and we hold all of them).
+            let watermark = dur.seq.load(Ordering::SeqCst);
+            let entries = sorted_quarantine_entries(self.quarantine.as_deref());
+            let faults = guards[0].storage().fault_injector().map(Arc::clone);
+            for (k, g) in guards.iter().enumerate() {
+                // Quarantine entries persist in shard 0 only.
+                let q: &[QuarantineEntry] = if k == 0 { &entries } else { &[] };
+                snapshot::save_shard_with(
+                    g,
+                    q,
+                    watermark,
+                    &dur.config.dir.join(shard::shard_snapshot_file(k)),
+                    faults.as_deref(),
+                )?;
             }
-            Some(Durability::Sharded(dur)) => {
-                {
-                    let guards = self.eg.write_all();
-                    // Every sequence number at or below the counter
-                    // belongs to a finished publish (publishers hold
-                    // their shard locks from seq assignment to commit,
-                    // and we hold all of them).
-                    let watermark = dur.seq.load(Ordering::SeqCst);
-                    let entries = sorted_quarantine_entries(self.quarantine.as_deref());
-                    let faults = guards
-                        .first()
-                        .and_then(|g| g.storage().fault_injector().map(Arc::clone));
-                    for (k, g) in guards.iter().enumerate() {
-                        // Quarantine entries persist in shard 0 only.
-                        let q: &[QuarantineEntry] = if k == 0 { &entries } else { &[] };
-                        snapshot::save_shard_with(
-                            g,
-                            q,
-                            watermark,
-                            &dur.config.dir.join(shard::shard_snapshot_file(k)),
-                            faults.as_deref(),
-                        )?;
-                    }
-                    for journal in &dur.journals {
-                        journal.lock().reset(faults.as_deref())?;
-                    }
-                    dur.commit.lock().reset(faults.as_deref())?;
-                    *dur.persisted_quarantine.lock() =
-                        entries.iter().map(|q| (q.op_hash, q.failures)).collect();
-                }
-                self.stats[0].lock().snapshots_compacted += 1;
-                Ok(())
+            for journal in &dur.journals {
+                journal.lock().reset(faults.as_deref())?;
             }
+            dur.commit.lock().reset(faults.as_deref())?;
+            *dur.persisted_quarantine.lock() =
+                entries.iter().map(|q| (q.op_hash, q.failures)).collect();
         }
+        self.stats[0].lock().snapshots_compacted += 1;
+        Ok(())
     }
 
     /// Graceful-drain hook: flush all durable state to disk — snapshot
     /// the current graph and quarantine set atomically and truncate the
-    /// journal (exactly [`compact`]), so a post-drain data directory is
+    /// journals (exactly [`compact`]), so a post-drain data directory is
     /// a clean snapshot set. A no-op `Ok(())` without durability; an
     /// error if the durability layer is wedged or the snapshot fails.
     ///
@@ -1667,11 +1304,9 @@ impl OptimizerServer {
     /// durability (nothing can be behind).
     #[must_use]
     pub fn durability_health(&self) -> DurabilityHealth {
-        match &self.durability {
-            None => DurabilityHealth::Healthy,
-            Some(Durability::Legacy(d)) => d.lock().health,
-            Some(Durability::Sharded(d)) => d.health(),
-        }
+        self.durability
+            .as_ref()
+            .map_or(DurabilityHealth::Healthy, Durability::health)
     }
 
     /// Whether durability is wedged — the terminal state after
@@ -1686,11 +1321,9 @@ impl OptimizerServer {
     /// Publish deltas queued in memory awaiting repair (0 when healthy).
     #[must_use]
     pub fn backlog_len(&self) -> usize {
-        match &self.durability {
-            None => 0,
-            Some(Durability::Legacy(d)) => d.lock().backlog.len(),
-            Some(Durability::Sharded(d)) => d.backlog.lock().len(),
-        }
+        self.durability
+            .as_ref()
+            .map_or(0, |d| d.backlog.lock().len())
     }
 
     /// The publish-entry health gate: `None` lets the publish proceed.
@@ -1747,9 +1380,9 @@ impl OptimizerServer {
     }
 
     /// Attempt to return a read-only durability layer to `Healthy`:
-    /// discard stray temp files, truncate torn journal tails, reopen
-    /// every journal (and the commit log, sharded) on fresh handles,
-    /// re-append the in-memory backlog in sequence order, and sync.
+    /// discard stray temp files, truncate torn tails, reopen every
+    /// journal and the commit log on fresh handles, re-append the
+    /// in-memory backlog in sequence order, and sync.
     ///
     /// Returns `Ok(true)` when a repair ran and the layer is healthy
     /// again, `Ok(false)` when there was nothing to repair (already
@@ -1766,69 +1399,39 @@ impl OptimizerServer {
     /// must not: a publish storm during a long disk outage would wedge
     /// a server that was going to recover).
     fn repair(&self, counted: bool) -> Result<bool> {
-        let Some(durability) = &self.durability else {
+        let Some(dur) = &self.durability else {
             return Ok(false);
         };
         let faults = {
             let g = self.eg.read(0);
             g.storage().fault_injector().map(Arc::clone)
         };
-        match durability {
-            Durability::Legacy(d) => {
-                let mut dur = d.lock();
-                match dur.health {
-                    DurabilityHealth::Healthy => return Ok(false),
-                    DurabilityHealth::Wedged => return Err(GraphError::Io(WEDGED_MSG.to_owned())),
-                    DurabilityHealth::ReadOnly => {}
-                }
-                self.stats[0].lock().repair_attempts += 1;
-                match repair_single(&mut dur, faults.as_deref()) {
-                    Ok(()) => {
-                        dur.health = DurabilityHealth::Healthy;
-                        dur.repair_attempts = 0;
-                        self.stats[0].lock().repairs_succeeded += 1;
-                        Ok(true)
-                    }
-                    Err(e) => {
-                        if counted {
-                            dur.repair_attempts += 1;
-                            if dur.repair_attempts >= dur.config.max_repair_attempts {
-                                dur.health = DurabilityHealth::Wedged;
-                            }
-                        }
-                        Err(e)
-                    }
-                }
+        // The backlog mutex is the repair critical section: it
+        // serializes concurrent repairers and keeps the drain atomic
+        // with respect to them. Publishers never take it while holding
+        // journal or quarantine locks.
+        let mut backlog = dur.backlog.lock();
+        match dur.health() {
+            DurabilityHealth::Healthy => return Ok(false),
+            DurabilityHealth::Wedged => return Err(GraphError::Io(WEDGED_MSG.to_owned())),
+            DurabilityHealth::ReadOnly => {}
+        }
+        self.stats[0].lock().repair_attempts += 1;
+        match repair_logs(dur, &mut backlog, faults.as_deref()) {
+            Ok(()) => {
+                dur.set_health(DurabilityHealth::Healthy);
+                dur.repair_attempts.store(0, Ordering::SeqCst);
+                self.stats[0].lock().repairs_succeeded += 1;
+                Ok(true)
             }
-            Durability::Sharded(dur) => {
-                // The backlog mutex is the repair critical section: it
-                // serializes concurrent repairers and keeps the drain
-                // atomic with respect to them. Publishers never take it
-                // while holding journal or quarantine locks.
-                let mut backlog = dur.backlog.lock();
-                match dur.health() {
-                    DurabilityHealth::Healthy => return Ok(false),
-                    DurabilityHealth::Wedged => return Err(GraphError::Io(WEDGED_MSG.to_owned())),
-                    DurabilityHealth::ReadOnly => {}
-                }
-                self.stats[0].lock().repair_attempts += 1;
-                match repair_sharded(dur, &mut backlog, faults.as_deref()) {
-                    Ok(()) => {
-                        dur.set_health(DurabilityHealth::Healthy);
-                        dur.repair_attempts.store(0, Ordering::SeqCst);
-                        self.stats[0].lock().repairs_succeeded += 1;
-                        Ok(true)
-                    }
-                    Err(e) => {
-                        if counted {
-                            let attempts = dur.repair_attempts.fetch_add(1, Ordering::SeqCst) + 1;
-                            if attempts >= dur.config.max_repair_attempts {
-                                dur.set_health(DurabilityHealth::Wedged);
-                            }
-                        }
-                        Err(e)
+            Err(e) => {
+                if counted {
+                    let attempts = dur.repair_attempts.fetch_add(1, Ordering::SeqCst) + 1;
+                    if attempts >= dur.config.max_repair_attempts {
+                        dur.set_health(DurabilityHealth::Wedged);
                     }
                 }
+                Err(e)
             }
         }
     }
@@ -1909,15 +1512,10 @@ impl OptimizerServer {
     }
 
     /// Record the lineage of every merged workload node (cold store on).
-    fn record_recipes(&self, dag: &WorkloadDag, failure: Option<&FailedExecution>) {
+    fn record_recipes(&self, dag: &WorkloadDag, merged: &[bool]) {
         let mut recipes = self.recipes.lock();
         for (i, node) in dag.nodes().iter().enumerate() {
-            let merged = match failure {
-                None => true,
-                Some(f) if f.tainted.len() == dag.n_nodes() => !f.tainted[i],
-                Some(_) => false,
-            };
-            if !merged {
+            if !merged[i] {
                 continue;
             }
             if let Some(edge) = dag.producer(co_graph::NodeId(i)) {
@@ -1972,29 +1570,18 @@ impl OptimizerServer {
     /// executing anything or touching the graph.
     pub fn explain(&self, mut dag: WorkloadDag) -> Result<String> {
         dag.prune()?;
-        if self.eg.n_shards() == 1 {
-            let eg = self.eg.read(0);
-            let plan = self.planner.plan(&dag, &*eg, &self.config.cost);
-            Ok(crate::optimizer::explain_plan(
-                &dag,
-                &*eg,
-                &self.config.cost,
-                &plan,
-            ))
-        } else {
-            let guards = self.eg.read_all();
-            let view = EgView::new(guards.iter().map(|g| &**g).collect());
-            let plan = self.planner.plan(&dag, &view, &self.config.cost);
-            Ok(crate::optimizer::explain_plan(
-                &dag,
-                &view,
-                &self.config.cost,
-                &plan,
-            ))
-        }
+        let guards = self.eg.read_all();
+        let view = EgView::new(guards.iter().map(|g| &**g).collect());
+        let plan = self.planner.plan(&dag, &view, &self.config.cost);
+        Ok(crate::optimizer::explain_plan(
+            &dag,
+            &view,
+            &self.config.cost,
+            &plan,
+        ))
     }
 
-    /// Number of Experiment Graph lock shards (1 = unsharded).
+    /// Number of Experiment Graph lock shards.
     #[must_use]
     pub fn n_shards(&self) -> usize {
         self.eg.n_shards()
@@ -2040,7 +1627,7 @@ impl OptimizerServer {
     ///
     /// Panics on a sharded server (shards > 1) — iterate
     /// [`shards`](OptimizerServer::shards) instead.
-    pub fn eg_mut(&self) -> co_graph::ShardWriteGuard<'_> {
+    pub fn eg_mut(&self) -> ShardWriteGuard<'_> {
         assert_eq!(
             self.eg.n_shards(),
             1,
@@ -2050,8 +1637,8 @@ impl OptimizerServer {
     }
 
     /// Summary of storage state: (number of materialized artifacts,
-    /// unique bytes held, logical bytes materialized). On a sharded
-    /// server, sums over every shard plus the shared column vault.
+    /// unique bytes held, logical bytes materialized), summed over every
+    /// shard plus the shared column vault.
     #[must_use]
     pub fn storage_stats(&self) -> (usize, u64, u64) {
         let guards = self.eg.read_all();
@@ -2065,8 +1652,8 @@ impl OptimizerServer {
         (n, unique, logical)
     }
 
-    /// Install a deterministic fault injector on the artifact store
-    /// (every shard's, when sharded) for tests and chaos drills; see
+    /// Install a deterministic fault injector on every shard's artifact
+    /// store for tests and chaos drills; see
     /// `co_graph::faults`.
     pub fn set_fault_injector(&self, faults: Arc<FaultInjector>) {
         self.eg.set_fault_injector(&faults);
@@ -2075,77 +1662,49 @@ impl OptimizerServer {
     /// Evict one artifact's content from the store (returns bytes
     /// freed). Reuse plans drawn before the eviction degrade to
     /// recomputation via the executor's load-miss fallback. On a durable
-    /// server the mat-flag change is journaled (and, sharded, committed)
-    /// so a restart does not resurrect the flag.
+    /// server the mat-flag change is journaled and committed like any
+    /// publish, so a restart does not resurrect the flag.
     pub fn evict_artifact(&self, id: ArtifactId) -> u64 {
         let k = self.eg.shard_index(id);
         let mut eg = self.eg.write(k);
         let bytes = eg.storage_mut().evict(id);
         let was_restored = eg.unmark_restored_materialized(id);
-        if bytes > 0 || was_restored {
-            if let Some(cold) = &self.cold {
-                let faults = eg.storage().fault_injector().map(Arc::clone);
-                let _ = cold.remove(id, faults.as_deref());
-            }
-            match &self.durability {
-                None => {}
-                Some(Durability::Legacy(durability)) => {
-                    let mut dur = durability.lock();
-                    let delta = EgDelta {
-                        mat_removed: vec![id],
-                        ..EgDelta::default()
-                    };
-                    match dur.health {
-                        // A wedged layer drops the record: the restart
-                        // that un-wedges it resurrects the mat flag and
-                        // the next access re-evicts — consistent, cheap.
-                        DurabilityHealth::Wedged => {}
-                        DurabilityHealth::ReadOnly => dur.backlog.push(delta),
-                        DurabilityHealth::Healthy => {
-                            let faults = eg.storage().fault_injector().map(|f| &**f);
-                            if let Err(e) = dur.journal.append(&delta, faults) {
-                                if is_simulated_crash(&e) {
-                                    dur.health = DurabilityHealth::Wedged;
-                                } else {
-                                    dur.backlog.push(delta);
-                                    dur.health = DurabilityHealth::ReadOnly;
-                                }
-                            }
-                        }
-                    }
-                }
-                Some(Durability::Sharded(dur)) => {
-                    if dur.health() == DurabilityHealth::Wedged {
-                        return bytes;
-                    }
-                    let seq = dur.seq.fetch_add(1, Ordering::SeqCst) + 1;
-                    let delta = EgDelta {
-                        seq: Some(seq),
-                        mat_removed: vec![id],
-                        ..EgDelta::default()
-                    };
-                    let record = CommitRecord {
-                        seq,
-                        // co-lint:allow(no-panic) shard counts are small configuration values, far below u32::MAX
-                        shards: vec![u32::try_from(k).expect("shard index fits u32")],
-                    };
-                    if dur.health() == DurabilityHealth::ReadOnly {
-                        let _ = self.backlog_sharded(dur, vec![(k, delta)], record, None);
-                        return bytes;
-                    }
-                    let faults = eg.storage().fault_injector().map(Arc::clone);
-                    let append = dur.journals[k]
-                        .lock()
-                        .append(&delta, faults.as_deref())
-                        .and_then(|()| dur.commit.lock().append(&record, faults.as_deref()));
-                    if let Err(e) = append {
-                        if is_simulated_crash(&e) {
-                            dur.set_health(DurabilityHealth::Wedged);
-                        } else {
-                            let _ = self.backlog_sharded(dur, vec![(k, delta)], record, None);
-                        }
-                    }
-                }
+        if bytes == 0 && !was_restored {
+            return bytes;
+        }
+        let faults = eg.storage().fault_injector().map(Arc::clone);
+        if let Some(cold) = &self.cold {
+            let _ = cold.remove(id, faults.as_deref());
+        }
+        let Some(dur) = &self.durability else {
+            return bytes;
+        };
+        // A wedged layer drops the record: the restart that un-wedges
+        // it resurrects the mat flag and the next access re-evicts —
+        // consistent, cheap.
+        if dur.health() == DurabilityHealth::Wedged {
+            return bytes;
+        }
+        let seq = dur.seq.fetch_add(1, Ordering::SeqCst) + 1;
+        let delta = EgDelta {
+            seq: Some(seq),
+            mat_removed: vec![id],
+            ..EgDelta::default()
+        };
+        let record = CommitRecord::new(seq, [k]);
+        if dur.health() == DurabilityHealth::ReadOnly {
+            let _ = dur.defer(vec![(k, delta)], record, None);
+            return bytes;
+        }
+        let append = dur.journals[k]
+            .lock()
+            .append(&delta, faults.as_deref())
+            .and_then(|()| dur.commit.lock().append(&record, faults.as_deref()));
+        if let Err(e) = append {
+            if is_simulated_crash(&e) {
+                dur.set_health(DurabilityHealth::Wedged);
+            } else {
+                let _ = dur.defer(vec![(k, delta)], record, None);
             }
         }
         bytes
@@ -2158,7 +1717,7 @@ impl OptimizerServer {
     }
 }
 
-/// Shared tail of both publish paths: translate (failure, persist
+/// Tail of every publish (accepted or rejected): translate (failure, persist
 /// failure) into the client-visible result, preserving error precedence
 /// (the workload's own error wins; a persist failure alone reports the
 /// run failed because a restart would forget it).
@@ -2201,74 +1760,45 @@ fn finish_publish(
 }
 
 /// Best-effort sweep of stray `.tmp` files (interrupted atomic
-/// snapshot saves) from a data directory. Losing the sweep to an I/O
-/// error is harmless — recovery ignores temp files anyway.
-fn remove_stray_tmps(dir: &Path) {
+/// snapshot saves) from a data directory; returns how many it removed.
+/// Losing the sweep to an I/O error is harmless — recovery ignores temp
+/// files anyway.
+fn remove_stray_tmps(dir: &Path) -> usize {
     let Ok(entries) = co_graph::vfs::read_dir_sorted(dir, None) else {
-        return;
+        return 0;
     };
-    for path in entries {
-        if path.to_string_lossy().ends_with(".tmp") {
-            let _ = co_graph::vfs::remove_file(&path, None);
-        }
-    }
+    entries
+        .iter()
+        .filter(|path| {
+            path.to_string_lossy().ends_with(".tmp")
+                && co_graph::vfs::remove_file(path, None).is_ok()
+        })
+        .count()
 }
 
-/// One repair pass over the single-shard durability layer: sweep stray
-/// temp files, truncate any torn journal tail the failed write left,
-/// reopen the journal on a fresh handle (a failed fsync poisons the old
-/// one — fsyncgate — so the *handle itself* must be replaced), then
-/// re-append the backlog front-first and sync. A failure part-way is
-/// safe: the drained prefix is durable, the rest stays backlogged.
-fn repair_single(dur: &mut DurabilityState, faults: Option<&FaultInjector>) -> Result<()> {
-    remove_stray_tmps(&dur.config.dir);
-    let path = dur.config.journal_path();
-    let outcome = journal::replay_with(&path, faults)?;
-    if let Some(valid_len) = outcome.torn_at {
-        journal::truncate_with(&path, valid_len, faults)?;
-    }
-    dur.journal = Journal::open_with(&path, dur.config.fsync, faults)?;
-    while !dur.backlog.is_empty() {
-        dur.journal.append(&dur.backlog[0], faults)?;
-        let delta = dur.backlog.remove(0);
-        for q in &delta.quarantine_set {
-            dur.persisted_quarantine.insert(q.op_hash, q.failures);
-        }
-        for h in &delta.quarantine_cleared {
-            dur.persisted_quarantine.remove(h);
-        }
-    }
-    dur.journal.sync(faults)
-}
-
-/// One repair pass over the sharded durability layer (the backlog
-/// mutex is held by the caller — it is the repair critical section).
-/// Same shape as [`repair_single`] per shard journal plus the commit
-/// log, then the backlog drains in publish (sequence) order: entries
-/// can arrive out of order under concurrent failing publishers. A
-/// partially drained entry re-appends in full next pass — journal
-/// replay is idempotent and duplicate commit seqs are harmless.
-fn repair_sharded(
-    dur: &ShardedDurability,
-    backlog: &mut Vec<ShardedBacklog>,
+/// One repair pass over the durability layer (the backlog mutex is held
+/// by the caller — it is the repair critical section): sweep stray temp
+/// files, truncate any torn tail the failed write left, reopen every
+/// journal and the commit log on fresh handles (a failed fsync poisons
+/// the old one — fsyncgate — so the *handle itself* must be replaced),
+/// then drain the backlog in publish (sequence) order — entries can
+/// arrive out of order under concurrent failing publishers — and sync.
+/// A failure part-way is safe: the drained prefix is durable, the rest
+/// stays backlogged; a partially drained entry re-appends in full next
+/// pass — journal replay is idempotent and duplicate commit seqs are
+/// harmless.
+fn repair_logs(
+    dur: &Durability,
+    backlog: &mut Vec<Backlog>,
     faults: Option<&FaultInjector>,
 ) -> Result<()> {
     let dir = &dur.config.dir;
     remove_stray_tmps(dir);
     for (k, slot) in dur.journals.iter().enumerate() {
         let path = dir.join(shard::shard_journal_file(k));
-        let outcome = journal::replay_with(&path, faults)?;
-        if let Some(valid_len) = outcome.torn_at {
-            journal::truncate_with(&path, valid_len, faults)?;
-        }
-        *slot.lock() = Journal::open_with(&path, dur.config.fsync, faults)?;
+        *slot.lock() = reopen_log(&path, dur.config.fsync, faults)?;
     }
-    let commit_path = dir.join(shard::COMMIT_FILE);
-    let replay = journal::replay_commits_with(&commit_path, faults)?;
-    if let Some(valid_len) = replay.torn_at {
-        journal::truncate_with(&commit_path, valid_len, faults)?;
-    }
-    *dur.commit.lock() = CommitLog::open_with(&commit_path, faults)?;
+    *dur.commit.lock() = reopen_log(&dir.join(shard::COMMIT_FILE), dur.config.fsync, faults)?;
     backlog.sort_by_key(|e| e.record.seq);
     while !backlog.is_empty() {
         {
@@ -2286,45 +1816,31 @@ fn repair_sharded(
     for slot in &dur.journals {
         slot.lock().sync(faults)?;
     }
-    Ok(())
+    dur.commit.lock().sync(faults)
 }
 
-/// What the publish path notes *before* merging a workload, so the
-/// journal delta can be diffed afterwards: which merged artifacts are
-/// new to the graph vs merely touched, and the pre-publish mat set.
-struct DeltaCapture {
+/// Truncate whatever torn tail a failed write left in a log and reopen
+/// it on a fresh handle.
+fn reopen_log<R: LogRecord>(
+    path: &Path,
+    policy: FsyncPolicy,
+    faults: Option<&FaultInjector>,
+) -> Result<FramedLog<R>> {
+    if let Some(valid_len) = journal::replay_with::<R>(path, faults)?.torn_at {
+        journal::truncate_with(path, valid_len, faults)?;
+    }
+    FramedLog::open_with(path, policy, faults)
+}
+
+/// What a durable publish notes per locked shard *before* merging, so
+/// the shard's journal delta can be diffed afterwards: which merged
+/// artifacts are new to the shard vs merely touched, and the
+/// pre-publish mat set.
+#[derive(Default)]
+struct ShardCapture {
     new_ids: Vec<ArtifactId>,
     touched_ids: Vec<ArtifactId>,
     mat_before: BTreeSet<ArtifactId>,
-}
-
-impl DeltaCapture {
-    fn before(eg: &ExperimentGraph, dag: &WorkloadDag, failure: Option<&FailedExecution>) -> Self {
-        let merged = |i: usize| match failure {
-            None => true,
-            Some(f) if f.tainted.len() == dag.n_nodes() => !f.tainted[i],
-            Some(_) => false,
-        };
-        let mut new_ids = Vec::new();
-        let mut touched_ids = Vec::new();
-        let mut seen = HashSet::new();
-        // DAG order is parents-first, so `new_ids` lists new vertices in
-        // an order the journal can replay with restore_vertex.
-        for (i, node) in dag.nodes().iter().enumerate() {
-            if merged(i) && seen.insert(node.artifact) {
-                if eg.contains(node.artifact) {
-                    touched_ids.push(node.artifact);
-                } else {
-                    new_ids.push(node.artifact);
-                }
-            }
-        }
-        DeltaCapture {
-            new_ids,
-            touched_ids,
-            mat_before: mat_set(eg),
-        }
-    }
 }
 
 /// Diff the live quarantine snapshot against the last persisted map:
@@ -2409,15 +1925,10 @@ fn available_contents(dag: &WorkloadDag) -> HashMap<ArtifactId, Value> {
 
 /// Estimate what this submission would have cost with no reuse at all —
 /// the sum of recorded compute times over every (distinct) node the
-/// terminals require. Called inside the publish critical section so the
+/// terminals require, resolved through `lookup` across the publish's
+/// locked shards. Called inside the publish critical section so the
 /// graph cannot change under the walk.
-fn baseline_cost(dag: &WorkloadDag, eg: &ExperimentGraph) -> f64 {
-    baseline_cost_with(dag, |id| eg.vertex(id).ok().map(|v| v.compute_time))
-}
-
-/// [`baseline_cost`] with a pluggable vertex lookup, so the sharded
-/// publish path can resolve compute times across its locked shards.
-fn baseline_cost_with(dag: &WorkloadDag, lookup: impl Fn(ArtifactId) -> Option<f64>) -> f64 {
+fn baseline_cost(dag: &WorkloadDag, lookup: impl Fn(ArtifactId) -> Option<f64>) -> f64 {
     let mut baseline = 0.0;
     let mut visited = vec![false; dag.n_nodes()];
     let mut stack: Vec<usize> = dag.terminals().iter().map(|t| t.0).collect();

@@ -1,15 +1,12 @@
 //! `egfsck` — offline invariant checker for a durability directory.
 //!
-//! Loads the Experiment Graph snapshot (if any), replays the write-ahead
-//! journal read-only (a torn tail is reported, never truncated), and
-//! checks every structural invariant of the recovered graph, its content
-//! store, and the persisted quarantine state.
-//!
-//! Sharded data directories (`eg-<k>.egsnap` / `eg-<k>.wal` /
-//! `eg.commit`, DESIGN.md §14) are detected automatically: recovery
-//! reconstructs exactly the committed prefix across all shards and the
-//! cross-shard invariants (vertex routing, edge symmetry, commit-log
-//! consistency) are checked on top of the per-graph ones.
+//! Detects the directory's shard count (`eg-<k>.egsnap` / `eg-<k>.wal` /
+//! `eg.commit`, DESIGN.md §10), loads the per-shard snapshots (if any),
+//! replays the commit log and the write-ahead journals read-only (a torn
+//! tail is reported, never truncated) to exactly the committed prefix,
+//! and checks every structural invariant of the recovered shards —
+//! vertex routing and cross-shard edge symmetry included — their content
+//! stores, and the persisted quarantine state.
 //!
 //! ```text
 //! cargo run --example egfsck -- <data-dir> [--no-dedup] [--quiet]
@@ -52,11 +49,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let checked = match fsck::detect_shard_layout(&dir) {
-        Some(n) => fsck::check_sharded_data_dir(&dir, n, dedup),
-        None => fsck::check_data_dir(&dir, dedup),
-    };
-    match checked {
+    match fsck::check_data_dir(&dir, dedup) {
         Ok(report) => {
             if !quiet || !report.is_clean() {
                 print!("{report}");

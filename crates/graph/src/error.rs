@@ -228,10 +228,10 @@ mod tests {
         assert!(GraphError::Io("disk full".into())
             .to_string()
             .contains("disk full"));
-        let c = GraphError::corrupt("/data/eg.wal", 12, "bad crc");
-        assert!(c.to_string().contains("/data/eg.wal"));
+        let c = GraphError::corrupt("/data/eg-0.wal", 12, "bad crc");
+        assert!(c.to_string().contains("/data/eg-0.wal"));
         assert!(c.to_string().contains("12"));
-        let header = GraphError::corrupt("/data/eg.egsnap", 0, "bad header");
+        let header = GraphError::corrupt("/data/eg-0.egsnap", 0, "bad header");
         assert!(!header.to_string().contains("record"));
         let q = GraphError::Quarantined {
             op: "train".into(),

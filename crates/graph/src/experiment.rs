@@ -118,72 +118,19 @@ impl ExperimentGraph {
         self.merge_masked(dag, Some(keep))
     }
 
+    /// The whole-graph merge is the sharded updater's loop with every
+    /// parent in the same graph: insert-or-bump each kept node, then
+    /// wire a new vertex to its parents (workload nodes are
+    /// parents-first and the mask is ancestor-closed, so they exist).
     fn merge_masked(&mut self, dag: &WorkloadDag, mask: Option<&[bool]>) -> Result<()> {
-        for (idx, node) in dag.nodes().iter().enumerate() {
-            if let Some(mask) = mask {
-                if !mask[idx] {
-                    continue;
-                }
+        for idx in 0..dag.nodes().len() {
+            if mask.is_some_and(|mask| !mask[idx]) {
+                continue;
             }
-            let id = node.artifact;
-            let parents: Vec<ArtifactId> = dag
-                .parents(crate::workload::NodeId(idx))
-                .iter()
-                .map(|n| dag.nodes()[n.0].artifact)
-                .collect();
-            let op_hash = dag
-                .producer(crate::workload::NodeId(idx))
-                .map(|e| e.op.op_hash());
-
-            match self.vertices.get_mut(&id) {
-                Some(v) => {
-                    v.frequency += 1;
-                    // Refresh measurements when the client observed them.
-                    if let Some(t) = node.compute_time {
-                        v.compute_time = t;
-                    }
-                    if let Some(s) = node.size {
-                        v.size = s;
-                    }
-                    if node.quality > 0.0 {
-                        v.quality = node.quality;
-                    }
-                }
-                None => {
-                    let description = node
-                        .computed
-                        .as_ref()
-                        .map(crate::value::Value::description)
-                        .unwrap_or_default();
-                    let vertex = EgVertex {
-                        id,
-                        kind: node.kind,
-                        frequency: 1,
-                        compute_time: node.compute_time.unwrap_or(0.0),
-                        size: node.size.unwrap_or(0),
-                        quality: node.quality,
-                        description,
-                        source_name: node.name.clone(),
-                        op_hash,
-                        parents: parents.clone(),
-                        children: Vec::new(),
-                    };
-                    self.vertices.insert(id, vertex);
-                    self.topo.push(id);
-                    if node.producer.is_none() {
-                        self.sources.push(id);
-                        // Sources: store content unconditionally.
-                        if let Some(value) = &node.computed {
-                            self.storage.store(id, value);
-                        }
-                    }
-                    for p in &parents {
-                        if let Some(pv) = self.vertices.get_mut(p) {
-                            if !pv.children.contains(&id) {
-                                pv.children.push(id);
-                            }
-                        }
-                    }
+            if self.merge_workload_node(dag, idx)? {
+                let child = dag.nodes()[idx].artifact;
+                for p in dag.parents(crate::workload::NodeId(idx)) {
+                    self.add_child_link(dag.nodes()[p.0].artifact, child)?;
                 }
             }
         }
@@ -191,13 +138,14 @@ impl ExperimentGraph {
     }
 
     /// Merge a single node of an executed workload DAG into this graph —
-    /// the sharded updater's unit of work, where each node lands in the
-    /// shard owning its artifact id. Identical to one step of
-    /// [`ExperimentGraph::update_with_workload`] except that **no child
-    /// links are wired** (a parent may live in another shard); the
-    /// caller wires them via [`ExperimentGraph::add_child_link`] on the
-    /// parent's shard. Returns whether the node was inserted (false:
-    /// an existing vertex was bumped).
+    /// the updater's unit of work, where each node lands in the shard
+    /// owning its artifact id: a new vertex is inserted (a source's
+    /// content stored with it), an existing one gets its frequency
+    /// bumped and its measurements refreshed. **No child links are
+    /// wired** (a parent may live in another shard); the caller wires
+    /// them via [`ExperimentGraph::add_child_link`] on the parent's
+    /// shard. Returns whether the node was inserted (false: an existing
+    /// vertex was bumped).
     pub fn merge_workload_node(&mut self, dag: &WorkloadDag, idx: usize) -> Result<bool> {
         let node = dag
             .nodes()
@@ -273,44 +221,12 @@ impl ExperimentGraph {
         Ok(())
     }
 
-    /// Insert a fully specified vertex during snapshot restoration
-    /// (see [`crate::snapshot`]). Parents must already be present; the
-    /// vertex must be new; children links are rebuilt here.
-    pub fn restore_vertex(&mut self, mut vertex: EgVertex) -> Result<()> {
-        if self.vertices.contains_key(&vertex.id) {
-            return Err(GraphError::InvalidStructure(format!(
-                "duplicate vertex {:x} in snapshot",
-                vertex.id.0
-            )));
-        }
-        for p in &vertex.parents {
-            if !self.vertices.contains_key(p) {
-                return Err(GraphError::UnknownArtifact(p.0));
-            }
-        }
-        vertex.children.clear();
-        let id = vertex.id;
-        let parents = vertex.parents.clone();
-        let is_source = vertex.op_hash.is_none();
-        self.vertices.insert(id, vertex);
-        self.topo.push(id);
-        if is_source {
-            self.sources.push(id);
-        }
-        for p in parents {
-            let pv = self.vertices.get_mut(&p).expect("checked above"); // co-lint:allow(no-panic) every parent was presence-checked before any mutation
-            if !pv.children.contains(&id) {
-                pv.children.push(id);
-            }
-        }
-        Ok(())
-    }
-
-    /// Insert a fully specified vertex *without* resolving its lineage:
-    /// parents are recorded but not required to exist (they may live in
-    /// another shard) and no child links are wired. Used when restoring
-    /// one shard of a sharded graph; the recovery rewire pass
+    /// Insert a fully specified vertex during snapshot or journal
+    /// restoration *without* resolving its lineage: parents are recorded
+    /// but not required to exist (they may live in another shard) and no
+    /// child links are wired; the recovery rewire pass
     /// (`crate::shard::rewire_children`) rebuilds children afterwards.
+    /// The vertex must be new.
     pub fn restore_vertex_unlinked(&mut self, mut vertex: EgVertex) -> Result<()> {
         if self.vertices.contains_key(&vertex.id) {
             return Err(GraphError::InvalidStructure(format!(

@@ -23,29 +23,25 @@
 //! * **Quarantine** — persisted quarantine entries are unique and carry
 //!   a positive failure count.
 //!
-//! Entry points: [`check_graph`] for an in-memory graph,
-//! [`check_with_quarantine`] to also vet persisted quarantine entries,
-//! and [`check_data_dir`] to rebuild a graph from a durability directory
-//! (snapshot + journal replay, read-only) and check the result — the
-//! offline `egfsck` CLI (`examples/egfsck.rs`) and the crash-matrix CI
-//! step use the latter. The server runs [`check_graph`] after every
-//! publish and recovery in debug builds.
+//! * **Sharding** — every vertex lives in the shard its id hashes to,
+//!   and the invariants above hold *across* shards.
+//!
+//! There is one checker, [`check_shards`], over a shard array; a plain
+//! graph is the one-shard case ([`check_graph`],
+//! [`check_with_quarantine`]). [`check_data_dir`] rebuilds the shards
+//! from a durability directory (snapshots + committed-prefix journal
+//! replay, read-only) and checks the result — the offline `egfsck` CLI
+//! (`examples/egfsck.rs`) and the crash-matrix CI step use it. The
+//! server runs the check after recovery, and after every whole-graph
+//! publish, in debug builds.
 
 use crate::error::Result;
 use crate::experiment::{EgVertex, ExperimentGraph};
-use crate::journal::{self, QuarantineEntry};
+use crate::journal::QuarantineEntry;
 use crate::shard::{self, shard_of};
-use crate::snapshot;
 use crate::storage::StorageManager;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-
-/// Snapshot file name inside a durability directory (mirrors the
-/// server's `DurabilityConfig::snapshot_path`).
-pub const SNAPSHOT_FILE: &str = "eg.egsnap";
-/// Journal file name inside a durability directory (mirrors the
-/// server's `DurabilityConfig::journal_path`).
-pub const JOURNAL_FILE: &str = "eg.wal";
 
 /// Class of an invariant violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,291 +164,28 @@ impl std::fmt::Display for FsckReport {
     }
 }
 
-/// Check every structural invariant of an in-memory Experiment Graph.
+/// Check every structural invariant of an in-memory Experiment Graph
+/// (the one-shard case of [`check_shards`]).
 #[must_use]
 pub fn check_graph(eg: &ExperimentGraph) -> FsckReport {
-    let mut report = FsckReport {
-        vertices: eg.n_vertices(),
-        artifacts: eg.storage().n_artifacts(),
-        ..FsckReport::default()
-    };
-
-    // Topological order: covers every vertex exactly once, invents none.
-    let mut position: HashMap<_, usize> = HashMap::with_capacity(eg.n_vertices());
-    for (pos, id) in eg.topo_order().iter().enumerate() {
-        if !eg.contains(*id) {
-            report.push(
-                FsckCode::TopoInconsistent,
-                format!("topo order names unknown vertex {:016x}", id.0),
-            );
-        }
-        if position.insert(*id, pos).is_some() {
-            report.push(
-                FsckCode::TopoInconsistent,
-                format!("vertex {:016x} appears twice in the topo order", id.0),
-            );
-        }
-    }
-    if eg.topo_order().len() != eg.n_vertices() {
-        report.push(
-            FsckCode::TopoInconsistent,
-            format!(
-                "topo order covers {} of {} vertices",
-                eg.topo_order().len(),
-                eg.n_vertices()
-            ),
-        );
-    }
-
-    let sources: HashSet<_> = eg.sources().iter().copied().collect();
-    if sources.len() != eg.sources().len() {
-        report.push(
-            FsckCode::SourceInvariant,
-            format!(
-                "source list has {} entries but only {} distinct ids",
-                eg.sources().len(),
-                sources.len()
-            ),
-        );
-    }
-
-    for v in eg.vertices() {
-        let my_pos = position.get(&v.id);
-        if my_pos.is_none() {
-            // Covered by the count mismatch above; still name the vertex.
-            report.push(
-                FsckCode::TopoInconsistent,
-                format!("vertex {:016x} is missing from the topo order", v.id.0),
-            );
-        }
-
-        // Parent links: defined, ordered before us, and symmetric.
-        // Duplicate parents are legal (e.g. a self-join), so symmetry is
-        // checked per distinct parent.
-        for p in v.parents.iter().collect::<HashSet<_>>() {
-            match eg.vertex(*p) {
-                Err(_) => report.push(
-                    FsckCode::DanglingReference,
-                    format!("vertex {:016x} lists unknown parent {:016x}", v.id.0, p.0),
-                ),
-                Ok(pv) => {
-                    if let (Some(my), Some(theirs)) = (my_pos, position.get(p)) {
-                        if theirs >= my {
-                            report.push(
-                                FsckCode::OrderViolation,
-                                format!(
-                                    "parent {:016x} does not precede child {:016x} in the topo order",
-                                    p.0, v.id.0
-                                ),
-                            );
-                        }
-                    }
-                    if !pv.children.contains(&v.id) {
-                        report.push(
-                            FsckCode::AsymmetricLink,
-                            format!(
-                                "vertex {:016x} lists parent {:016x}, which does not list it as a child",
-                                v.id.0, p.0
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        for c in &v.children {
-            match eg.vertex(*c) {
-                Err(_) => report.push(
-                    FsckCode::DanglingReference,
-                    format!("vertex {:016x} lists unknown child {:016x}", v.id.0, c.0),
-                ),
-                Ok(cv) => {
-                    if !cv.parents.contains(&v.id) {
-                        report.push(
-                            FsckCode::AsymmetricLink,
-                            format!(
-                                "vertex {:016x} lists child {:016x}, which does not list it as a parent",
-                                v.id.0, c.0
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-
-        // Source invariant: no producing op-hash ⟺ registered source, and
-        // a source derives from nothing. (Zero-input *derived* ops are
-        // legal: they carry an op-hash and are not sources.)
-        let is_source = sources.contains(&v.id);
-        if v.op_hash.is_none() != is_source {
-            report.push(
-                FsckCode::SourceInvariant,
-                format!(
-                    "vertex {:016x} has {} op-hash but is {}registered as a source",
-                    v.id.0,
-                    if v.op_hash.is_none() { "no" } else { "an" },
-                    if is_source { "" } else { "not " }
-                ),
-            );
-        }
-        if v.op_hash.is_none() && !v.parents.is_empty() {
-            report.push(
-                FsckCode::SourceInvariant,
-                format!(
-                    "source vertex {:016x} has {} parent(s)",
-                    v.id.0,
-                    v.parents.len()
-                ),
-            );
-        }
-
-        // Attribute sanity.
-        if v.frequency == 0 {
-            report.push(
-                FsckCode::BadAttribute,
-                format!("vertex {:016x} has frequency 0", v.id.0),
-            );
-        }
-        if !v.compute_time.is_finite() || v.compute_time < 0.0 {
-            report.push(
-                FsckCode::BadAttribute,
-                format!("vertex {:016x} has compute time {}", v.id.0, v.compute_time),
-            );
-        }
-        if !v.quality.is_finite() || !(0.0..=1.0).contains(&v.quality) {
-            report.push(
-                FsckCode::BadAttribute,
-                format!("vertex {:016x} has quality {}", v.id.0, v.quality),
-            );
-        }
-    }
-
-    // Content agreement: the store and the restored-mat set only refer
-    // to vertices the graph defines. (Overlap between the two is benign:
-    // re-materialization clears the restored flag lazily.)
-    for id in eg.storage().materialized_ids() {
-        if !eg.contains(id) {
-            report.push(
-                FsckCode::StrayContent,
-                format!(
-                    "store holds content for artifact {:016x}, which the graph does not define",
-                    id.0
-                ),
-            );
-        }
-    }
-    for id in eg.restored_materialized() {
-        if !eg.contains(*id) {
-            report.push(
-                FsckCode::StrayRestoredFlag,
-                format!(
-                    "restored mat flag refers to artifact {:016x}, which the graph does not define",
-                    id.0
-                ),
-            );
-        }
-    }
-
-    // Storage accounting, recomputed from the store's own contents.
-    for message in eg.storage().audit() {
-        report.push(FsckCode::StorageAccounting, message);
-    }
-
-    report
+    check_shards(&[eg], &[])
 }
 
 /// [`check_graph`] plus vetting of persisted quarantine entries.
-///
-/// A quarantined op-hash legitimately names an operation absent from the
-/// graph (it never succeeded), so membership is *not* checked — only
-/// uniqueness and a positive failure count.
 #[must_use]
 pub fn check_with_quarantine(eg: &ExperimentGraph, quarantine: &[QuarantineEntry]) -> FsckReport {
-    let mut report = check_graph(eg);
-    report.quarantine_entries = quarantine.len();
-    let mut seen = HashSet::with_capacity(quarantine.len());
-    for q in quarantine {
-        if !seen.insert(q.op_hash) {
-            report.push(
-                FsckCode::QuarantineInvalid,
-                format!(
-                    "op {:016x} ({}) is quarantined more than once",
-                    q.op_hash, q.name
-                ),
-            );
-        }
-        if q.failures == 0 {
-            report.push(
-                FsckCode::QuarantineInvalid,
-                format!(
-                    "op {:016x} ({}) is quarantined with zero recorded failures",
-                    q.op_hash, q.name
-                ),
-            );
-        }
-    }
-    report
+    check_shards(&[eg], quarantine)
 }
 
-/// Offline check of a durability directory: load the snapshot (if any),
-/// replay the journal, and fsck the resulting graph plus the recovered
-/// quarantine state. Strictly read-only — unlike server recovery, a torn
-/// journal tail is *reported* (as a note), never truncated.
+/// Offline check of a durability directory at whatever shard count it
+/// was written with (see [`check_sharded_data_dir`]).
 pub fn check_data_dir(dir: &Path, dedup: bool) -> Result<FsckReport> {
-    let snapshot_path = dir.join(SNAPSHOT_FILE);
-    let (mut eg, mut qmap) = if snapshot_path.exists() {
-        let restored = snapshot::load_full(&snapshot_path, dedup)?;
-        let qmap: HashMap<u64, (String, usize)> = restored
-            .quarantine
-            .into_iter()
-            .map(|q| (q.op_hash, (q.name, q.failures)))
-            .collect();
-        (restored.graph, qmap)
-    } else {
-        (ExperimentGraph::new(dedup), HashMap::new())
-    };
-
-    let journal_path = dir.join(JOURNAL_FILE);
-    let outcome = journal::replay(&journal_path)?;
-    for delta in &outcome.deltas {
-        delta.apply(&mut eg)?;
-        for q in &delta.quarantine_set {
-            qmap.insert(q.op_hash, (q.name.clone(), q.failures));
-        }
-        for h in &delta.quarantine_cleared {
-            qmap.remove(h);
-        }
-    }
-
-    let quarantine: Vec<QuarantineEntry> = qmap
-        .into_iter()
-        .map(|(op_hash, (name, failures))| QuarantineEntry {
-            op_hash,
-            name,
-            failures,
-        })
-        .collect();
-    let mut report = check_with_quarantine(&eg, &quarantine);
-    report.notes.push(format!(
-        "snapshot {}, {} journal delta(s) replayed",
-        if snapshot_path.exists() {
-            "loaded"
-        } else {
-            "absent"
-        },
-        outcome.deltas.len()
-    ));
-    if let Some(at) = outcome.torn_at {
-        report.notes.push(format!(
-            "journal has a torn tail at byte {at} ({} byte(s) would be discarded on recovery)",
-            outcome.bytes_discarded
-        ));
-    }
-    Ok(report)
+    check_sharded_data_dir(dir, detect_shard_layout(dir).unwrap_or(1), dedup)
 }
 
-/// Detect a *sharded* data directory and its shard count: the number of
-/// contiguous `eg-<k>.wal` / `eg-<k>.egsnap` pairs starting at shard 0.
-/// Returns `None` for single-journal (or empty) directories.
+/// Detect a data directory's shard count: the number of contiguous
+/// `eg-<k>.wal` / `eg-<k>.egsnap` pairs starting at shard 0. Returns
+/// `None` for an empty (never opened) directory.
 #[must_use]
 pub fn detect_shard_layout(dir: &Path) -> Option<usize> {
     let mut n = 0;
@@ -468,7 +201,7 @@ pub fn detect_shard_layout(dir: &Path) -> Option<usize> {
     }
 }
 
-/// Check every structural invariant across the shards of a sharded
+/// Check every structural invariant across the shards of an
 /// Experiment Graph, plus the sharding invariants themselves: each
 /// vertex must live in the shard its id hashes to, and parent/child
 /// links must resolve and be symmetric *across* shards. Per-shard
@@ -684,6 +417,9 @@ pub fn check_shards(shards: &[&ExperimentGraph], quarantine: &[QuarantineEntry])
         }
     }
 
+    // A quarantined op-hash legitimately names an operation absent from
+    // the graph (it never succeeded), so membership is *not* checked —
+    // only uniqueness and a positive failure count.
     report.quarantine_entries = quarantine.len();
     let mut seen = HashSet::with_capacity(quarantine.len());
     for q in quarantine {
@@ -709,10 +445,10 @@ pub fn check_shards(shards: &[&ExperimentGraph], quarantine: &[QuarantineEntry])
     report
 }
 
-/// Offline check of a *sharded* durability directory: reconstruct
-/// exactly the committed prefix ([`shard::recover_shards`], read-only —
-/// torn tails are reported, never truncated) and run [`check_shards`]
-/// over the result.
+/// Offline check of a durability directory: reconstruct exactly the
+/// committed prefix ([`shard::recover_shards`], strictly read-only —
+/// unlike server recovery, torn tails are *reported* as notes, never
+/// truncated) and run [`check_shards`] over the result.
 pub fn check_sharded_data_dir(dir: &Path, n_shards: usize, dedup: bool) -> Result<FsckReport> {
     let recovery = shard::recover_shards(dir, n_shards, dedup)?;
     let refs: Vec<&ExperimentGraph> = recovery.graphs.iter().collect();

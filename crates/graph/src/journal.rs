@@ -1,51 +1,59 @@
-//! Write-ahead journal for the Experiment Graph.
+//! Write-ahead journals and the commit log of the Experiment Graph.
 //!
 //! The EG is the shared asset a collaborative environment accumulates
 //! over weeks (paper §3.2); a crash must not lose workloads committed
 //! since the last snapshot. Each committed workload's EG delta — new
 //! vertices, frequency bumps, materialization changes, quarantine
-//! changes — is appended to the journal as one length-prefixed,
-//! CRC-checksummed record inside the server's publish critical section.
-//! Recovery loads the newest valid snapshot (`crate::snapshot`), then
-//! [`replay`]s the journal on top of it, stopping at — and truncating —
-//! the first torn record instead of failing.
+//! changes — is appended to the journal of every shard it touched, and
+//! the publish is sealed by one record in the commit log, all inside
+//! the server's publish critical section. Recovery
+//! (`crate::shard::recover_shards`) loads the newest valid snapshots,
+//! then [`replay`]s the logs on top, stopping at — and truncating — the
+//! first torn record instead of failing.
 //!
-//! ## File format (`EGWAL 1`)
+//! ## One framed log, two payloads
 //!
-//! An 8-byte magic (`b"EGWAL 1\n"`) followed by records:
+//! Both files are a [`FramedLog`]: an 8-byte magic followed by records
 //!
 //! ```text
 //! [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
 //! ```
 //!
-//! The payload is UTF-8 text, one line per delta entry, using the same
-//! field escaping as the snapshot format:
+//! with a UTF-8 text payload. Open, append, fsync policy, torn-tail
+//! replay, reset and damage tracking exist once; the payload type
+//! ([`LogRecord`]) supplies the magic, the text encoding and its crash
+//! points.
+//!
+//! ### Journal payload (`EGWAL 1`, `eg-<k>.wal`): [`EgDelta`]
+//!
+//! One line per delta entry, using the same field escaping as the
+//! snapshot format:
 //!
 //! | line | meaning |
 //! |------|---------|
-//! | `S\t<seq>` | publish sequence number (sharded layout only) |
+//! | `S\t<seq>` | publish sequence number |
 //! | `V\t<10 vertex fields>` | a vertex new to the graph |
 //! | `F\t<id>\t<freq>\t<t>\t<s>\t<q>` | refreshed absolute attributes of an existing vertex |
 //! | `M+\t<id>` / `M-\t<id>` | artifact content materialized / evicted |
 //! | `Q+\t<hash>\t<failures>\t<name>` / `Q-\t<hash>` | operation quarantined / released |
 //!
 //! `F` records carry *absolute* values (not increments), so replaying a
-//! record whose effects are already contained in a newer snapshot — the
-//! window between snapshot rename and journal truncation during
-//! compaction — is idempotent.
+//! record whose effects are already contained in a newer snapshot is
+//! idempotent.
 //!
-//! ## Sharded layout: the cross-shard commit log (`EGCMT 1`)
+//! ### Commit-log payload (`EGCMT 1`, `eg.commit`): [`CommitRecord`]
 //!
-//! With the Experiment Graph split into N lock shards, each shard owns
-//! one journal (`eg-<k>.wal`) and a publish spanning several shards
-//! appends one record per touched shard, all tagged with the same
-//! publish sequence number (`S` line). Atomicity across those appends
-//! is decided by a separate *commit log* (`eg.commit`): after the last
-//! per-shard append, one [`CommitRecord`] naming the sequence number
-//! and the touched shards is appended. Recovery replays the commit log
-//! first and then skips any per-shard record whose sequence number was
-//! never committed — a crash between per-shard appends (or before the
-//! commit record) therefore rolls the whole publish back, exactly.
+//! A publish appends one journal record per touched shard, all tagged
+//! with the same publish sequence number (`S` line). Atomicity across
+//! those appends is decided by the commit log: after the last per-shard
+//! append, one [`CommitRecord`] naming the sequence number and the
+//! touched shards is appended. Recovery replays the commit log first
+//! and then skips any per-shard record whose sequence number was never
+//! committed — a crash between per-shard appends (or before the commit
+//! record) therefore rolls the whole publish back, exactly. Under
+//! [`FsyncPolicy::Always`] the touched journals sync before the commit
+//! record does, so a durable commit record never seals a record that is
+//! not itself durable.
 
 use crate::artifact::ArtifactId;
 use crate::error::{GraphError, Result};
@@ -54,12 +62,13 @@ use crate::faults::{CrashPoint, FaultInjector};
 use crate::snapshot::{escape, parse_vertex_fields, unescape, vertex_fields, ParseCtx};
 use crate::vfs::{self, VfsFile};
 use std::fmt::Write as _;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every journal file.
 pub const WAL_MAGIC: &[u8; 8] = b"EGWAL 1\n";
 
-/// Magic bytes opening every cross-shard commit log.
+/// Magic bytes opening every commit log.
 pub const COMMIT_MAGIC: &[u8; 8] = b"EGCMT 1\n";
 
 const fn crc_table() -> [u32; 256] {
@@ -95,13 +104,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// When journal appends reach the disk.
+/// When log appends (journal records and commit records alike) reach
+/// the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync after every append: a committed workload survives any crash.
     Always,
-    /// fsync after every N appends: bounded loss window, higher throughput.
-    EveryN(u32),
     /// Never fsync explicitly; the OS decides (fastest, weakest).
     Never,
 }
@@ -135,12 +143,34 @@ pub struct VertexTouch {
     pub quality: f64,
 }
 
+impl VertexTouch {
+    /// The current absolute attributes of `v`.
+    #[must_use]
+    pub fn of(v: &EgVertex) -> Self {
+        VertexTouch {
+            id: v.id,
+            frequency: v.frequency,
+            compute_time: v.compute_time,
+            size: v.size,
+            quality: v.quality,
+        }
+    }
+
+    fn write_to(&self, dst: &mut EgVertex) {
+        dst.frequency = self.frequency;
+        dst.compute_time = self.compute_time;
+        dst.size = self.size;
+        dst.quality = self.quality;
+    }
+}
+
 /// One committed workload's effect on the Experiment Graph — the unit
 /// of journaling and replay.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EgDelta {
-    /// Publish sequence number (sharded layout only; `None` in the
-    /// single-journal layout, keeping its encoding bit-identical).
+    /// Publish sequence number — the key the commit log seals. Every
+    /// record the server writes carries one; recovery rejects a record
+    /// without.
     pub seq: Option<u64>,
     /// Vertices this workload added, in parents-first order.
     pub new_vertices: Vec<EgVertex>,
@@ -168,9 +198,43 @@ impl EgDelta {
             && self.quarantine_cleared.is_empty()
     }
 
-    /// Serialise the delta to its journal-payload text.
-    #[must_use]
-    pub fn encode(&self) -> String {
+    /// Apply the delta to its shard during recovery. New vertices are
+    /// inserted without lineage resolution — their parents may live in
+    /// other shards, and children links are rebuilt by the recovery
+    /// rewire pass afterwards; vertices that already exist — replay over
+    /// a snapshot taken after this record — have their absolute
+    /// attributes overwritten, so application is idempotent.
+    /// Materialization changes land in the graph's
+    /// restored-materialization set (content itself is never persisted;
+    /// see `crate::snapshot`).
+    pub fn apply_to_shard(&self, eg: &mut ExperimentGraph) -> Result<()> {
+        for v in &self.new_vertices {
+            if eg.contains(v.id) {
+                VertexTouch::of(v).write_to(eg.vertex_mut(v.id)?);
+            } else {
+                eg.restore_vertex_unlinked(v.clone())?;
+            }
+        }
+        for t in &self.touched {
+            t.write_to(eg.vertex_mut(t.id)?);
+        }
+        for id in &self.mat_added {
+            eg.mark_restored_materialized(*id);
+        }
+        for id in &self.mat_removed {
+            eg.unmark_restored_materialized(*id);
+        }
+        Ok(())
+    }
+}
+
+impl LogRecord for EgDelta {
+    const MAGIC: &'static [u8; MAGIC_LEN] = WAL_MAGIC;
+    const LOG_NAME: &'static str = "journal";
+    const CRASH_BEFORE_WRITE: CrashPoint = CrashPoint::JournalPreFsync;
+    const CRASH_MID_WRITE: Option<CrashPoint> = Some(CrashPoint::JournalMidAppend);
+
+    fn encode(&self) -> String {
         let mut out = String::new();
         if let Some(seq) = self.seq {
             let _ = writeln!(out, "S\t{seq:x}");
@@ -206,9 +270,7 @@ impl EgDelta {
         out
     }
 
-    /// Parse a journal payload. `origin` and `record` (1-based) name the
-    /// file and record in any error.
-    pub fn decode(payload: &str, origin: &str, record: usize) -> Result<EgDelta> {
+    fn decode(payload: &str, origin: &str, record: usize) -> Result<EgDelta> {
         let ctx = ParseCtx { origin, record };
         let mut delta = EgDelta::default();
         for line in payload.lines() {
@@ -227,21 +289,6 @@ impl EgDelta {
                     delta
                         .new_vertices
                         .push(parse_vertex_fields(&fields[1..], &ctx)?);
-                }
-                "F" if fields.len() == 5 => {
-                    delta.touched.push(VertexTouch {
-                        id: parse_id(fields[1], &ctx)?,
-                        frequency: fields[2]
-                            .parse()
-                            .map_err(|_| ctx.err("bad frequency in F entry"))?,
-                        compute_time: fields[3]
-                            .parse()
-                            .map_err(|_| ctx.err("bad compute time in F entry"))?,
-                        size: fields[4]
-                            .parse()
-                            .map_err(|_| ctx.err("bad size in F entry"))?,
-                        quality: 0.0,
-                    });
                 }
                 "F" if fields.len() == 6 => {
                     delta.touched.push(VertexTouch {
@@ -286,74 +333,6 @@ impl EgDelta {
         }
         Ok(delta)
     }
-
-    /// Apply the delta to a graph during recovery. New vertices are
-    /// inserted (parents must precede them, as the publish order
-    /// guarantees); vertices that already exist — replay over a snapshot
-    /// taken after this record — have their absolute attributes
-    /// overwritten, so application is idempotent. Materialization
-    /// changes land in the graph's restored-materialization set (content
-    /// itself is never persisted; see `crate::snapshot`).
-    pub fn apply(&self, eg: &mut ExperimentGraph) -> Result<()> {
-        for v in &self.new_vertices {
-            if eg.contains(v.id) {
-                let dst = eg.vertex_mut(v.id)?;
-                dst.frequency = v.frequency;
-                dst.compute_time = v.compute_time;
-                dst.size = v.size;
-                dst.quality = v.quality;
-            } else {
-                eg.restore_vertex(v.clone())?;
-            }
-        }
-        for t in &self.touched {
-            let dst = eg.vertex_mut(t.id)?;
-            dst.frequency = t.frequency;
-            dst.compute_time = t.compute_time;
-            dst.size = t.size;
-            dst.quality = t.quality;
-        }
-        for id in &self.mat_added {
-            eg.mark_restored_materialized(*id);
-        }
-        for id in &self.mat_removed {
-            eg.unmark_restored_materialized(*id);
-        }
-        Ok(())
-    }
-
-    /// Apply the delta to *one shard* of a sharded graph during
-    /// recovery. Same semantics as [`EgDelta::apply`] except that new
-    /// vertices are inserted without lineage resolution — their parents
-    /// may live in other shards, and children links are rebuilt by the
-    /// recovery rewire pass afterwards.
-    pub fn apply_to_shard(&self, eg: &mut ExperimentGraph) -> Result<()> {
-        for v in &self.new_vertices {
-            if eg.contains(v.id) {
-                let dst = eg.vertex_mut(v.id)?;
-                dst.frequency = v.frequency;
-                dst.compute_time = v.compute_time;
-                dst.size = v.size;
-                dst.quality = v.quality;
-            } else {
-                eg.restore_vertex_unlinked(v.clone())?;
-            }
-        }
-        for t in &self.touched {
-            let dst = eg.vertex_mut(t.id)?;
-            dst.frequency = t.frequency;
-            dst.compute_time = t.compute_time;
-            dst.size = t.size;
-            dst.quality = t.quality;
-        }
-        for id in &self.mat_added {
-            eg.mark_restored_materialized(*id);
-        }
-        for id in &self.mat_removed {
-            eg.unmark_restored_materialized(*id);
-        }
-        Ok(())
-    }
 }
 
 fn parse_id(field: &str, ctx: &ParseCtx<'_>) -> Result<ArtifactId> {
@@ -362,84 +341,111 @@ fn parse_id(field: &str, ctx: &ParseCtx<'_>) -> Result<ArtifactId> {
         .map_err(|_| ctx.err(format!("bad artifact id {field:?}")))
 }
 
-fn io_err(what: &str, path: &Path, e: &std::io::Error) -> GraphError {
-    GraphError::Io(format!("cannot {what} journal {}: {e}", path.display()))
+fn io_err(what: &str, log: &str, path: &Path, e: &std::io::Error) -> GraphError {
+    GraphError::Io(format!("cannot {what} {log} {}: {e}", path.display()))
 }
 
-fn crash_err(point: CrashPoint) -> GraphError {
+pub(crate) fn crash_err(point: CrashPoint) -> GraphError {
     GraphError::Io(format!("injected crash at {}", point.name()))
 }
 
-fn should_crash(faults: Option<&FaultInjector>, point: CrashPoint) -> bool {
+pub(crate) fn should_crash(faults: Option<&FaultInjector>, point: CrashPoint) -> bool {
     faults.is_some_and(|f| f.take_crash(point))
 }
 
-/// An open, append-only journal file. All I/O flows through
-/// [`crate::vfs`], so injected [`crate::faults::IoFault`]s surface here
-/// as ordinary errors — after any failed append the journal marks
-/// itself *damaged* and refuses further appends until reopened (the
-/// file may hold a torn record, and appending past it would orphan
-/// every later record behind the tear).
+/// Length of every log's magic.
+const MAGIC_LEN: usize = 8;
+
+/// What a [`FramedLog`] stores: one text payload per record, under the
+/// log's own magic. The per-shard journals and the commit log differ in
+/// exactly these items; framing, fsync policy, torn-tail replay, reset
+/// and damage tracking are shared.
+pub trait LogRecord: Sized {
+    /// Magic bytes opening the file.
+    const MAGIC: &'static [u8; MAGIC_LEN];
+    /// What error messages call the file.
+    const LOG_NAME: &'static str;
+    /// Crash point fired before any byte of a record is written — the
+    /// record is lost whole.
+    const CRASH_BEFORE_WRITE: CrashPoint;
+    /// Crash point that leaves a torn record on disk, if the log has one.
+    const CRASH_MID_WRITE: Option<CrashPoint>;
+
+    /// Serialise the record to its payload text.
+    fn encode(&self) -> String;
+
+    /// Parse a payload. `origin` and `record` (1-based) name the file
+    /// and record in any error.
+    fn decode(payload: &str, origin: &str, record: usize) -> Result<Self>;
+}
+
+/// An open, append-only log of length-prefixed, CRC-checksummed
+/// records. All I/O flows through [`crate::vfs`], so injected
+/// [`crate::faults::IoFault`]s surface here as ordinary errors — after
+/// any failed append the log marks itself *damaged* and refuses further
+/// appends until reopened (the file may hold a torn record, and
+/// appending past it would orphan every later record behind the tear).
 #[derive(Debug)]
-pub struct Journal {
+pub struct FramedLog<R> {
     file: VfsFile,
     path: PathBuf,
     policy: FsyncPolicy,
-    unsynced: u32,
     len: u64,
     damaged: bool,
+    _record: PhantomData<fn(&R)>,
 }
 
-impl Journal {
-    /// Open (or create) a journal for appending. A fresh or empty file
-    /// gets the magic written and synced; an existing file must open
-    /// with a valid magic — run [`replay`] (which truncates torn tails,
-    /// including a torn magic) before opening.
-    pub fn open(path: &Path, policy: FsyncPolicy) -> Result<Journal> {
-        Journal::open_with(path, policy, None)
+/// A shard's write-ahead journal (`eg-<k>.wal`).
+pub type Journal = FramedLog<EgDelta>;
+
+/// The cross-shard commit log (`eg.commit`).
+pub type CommitLog = FramedLog<CommitRecord>;
+
+impl<R: LogRecord> FramedLog<R> {
+    /// Open (or create) a log for appending. A fresh or empty file gets
+    /// the magic written and synced; an existing file must open with a
+    /// valid magic — run [`replay`] (which reports torn tails, including
+    /// a torn magic, for [`truncate`]) before opening.
+    pub fn open(path: &Path, policy: FsyncPolicy) -> Result<Self> {
+        Self::open_with(path, policy, None)
     }
 
-    /// [`Journal::open`] with a fault injector consulted by the
-    /// open-time magic write/validation (repair paths reopen journals
-    /// while faults may still be armed).
+    /// [`FramedLog::open`] with a fault injector consulted by the
+    /// open-time magic write/validation (repair paths reopen logs while
+    /// faults may still be armed).
     pub fn open_with(
         path: &Path,
         policy: FsyncPolicy,
         faults: Option<&FaultInjector>,
-    ) -> Result<Journal> {
-        let mut file = VfsFile::open_append(path, faults).map_err(|e| io_err("open", path, &e))?;
-        let mut len = file.len().map_err(|e| io_err("stat", path, &e))?;
+    ) -> Result<Self> {
+        let err = |what, e| io_err(what, R::LOG_NAME, path, &e);
+        let mut file = VfsFile::open_append(path, faults).map_err(|e| err("open", e))?;
+        let mut len = file.len().map_err(|e| err("stat", e))?;
         if len == 0 {
-            file.write_all(WAL_MAGIC, faults)
-                .map_err(|e| io_err("initialise", path, &e))?;
-            file.sync(faults).map_err(|e| io_err("sync", path, &e))?;
-            len = WAL_MAGIC.len() as u64;
+            file.write_all(R::MAGIC, faults)
+                .map_err(|e| err("initialise", e))?;
+            file.sync(faults).map_err(|e| err("sync", e))?;
+            len = MAGIC_LEN as u64;
         } else {
-            if len < WAL_MAGIC.len() as u64 {
+            let mut magic = [0u8; MAGIC_LEN];
+            if len < MAGIC_LEN as u64 {
                 return Err(GraphError::corrupt(
                     path.display().to_string(),
                     0,
-                    "file shorter than the journal magic",
+                    format!("file shorter than the {} magic", R::LOG_NAME),
                 ));
             }
-            let mut magic = [0u8; 8];
             file.read_exact(&mut magic, faults)
-                .map_err(|e| io_err("read", path, &e))?;
-            if &magic != WAL_MAGIC {
-                return Err(GraphError::corrupt(
-                    path.display().to_string(),
-                    0,
-                    format!("bad journal magic {magic:?}"),
-                ));
-            }
+                .map_err(|e| err("read", e))?;
+            check_magic::<R>(&magic, path)?;
         }
-        Ok(Journal {
+        Ok(FramedLog {
             file,
             path: path.to_path_buf(),
             policy,
-            unsynced: 0,
             len,
             damaged: false,
+            _record: PhantomData,
         })
     }
 
@@ -449,111 +455,112 @@ impl Journal {
         self.len
     }
 
-    /// The journal's file path.
+    /// The log's file path.
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// Whether a failed append or sync has left this journal in an
-    /// unknown on-disk state (possible torn record, poisoned handle).
-    /// A damaged journal refuses appends until reopened by repair.
+    /// Whether a failed append or sync has left this log in an unknown
+    /// on-disk state (possible torn record, poisoned handle). A damaged
+    /// log refuses appends until reopened by repair.
     #[must_use]
     pub fn is_damaged(&self) -> bool {
         self.damaged || self.file.is_poisoned()
     }
 
-    /// Append one delta as a length-prefixed, CRC-checksummed record,
+    fn fail(&mut self, what: &str, e: &std::io::Error) -> GraphError {
+        self.damaged = true;
+        io_err(what, R::LOG_NAME, &self.path, e)
+    }
+
+    /// Append one record as a length-prefixed, CRC-checksummed frame,
     /// honouring the fsync policy. With a fault injector armed, the
-    /// journal crash points fire here: `JournalMidAppend` leaves a torn
-    /// record on disk (for recovery to detect and truncate);
-    /// `JournalPreFsync` models the worst case of an unsynced write —
-    /// the record never reaches the disk at all. Injected
+    /// record type's crash points fire here: the before-write point
+    /// models the worst case of an unsynced write — the record never
+    /// reaches the disk at all; the mid-write point leaves a torn record
+    /// on disk (for recovery to detect and truncate). Injected
     /// [`crate::faults::IoFault`]s fire inside the vfs write/sync calls;
-    /// any failure marks the journal damaged.
-    pub fn append(&mut self, delta: &EgDelta, faults: Option<&FaultInjector>) -> Result<()> {
+    /// any failure marks the log damaged.
+    pub fn append(&mut self, record: &R, faults: Option<&FaultInjector>) -> Result<()> {
         if self.is_damaged() {
             return Err(GraphError::Io(format!(
-                "journal {} is damaged by an earlier failed append; reopen it before appending",
+                "{} {} is damaged by an earlier failed append; reopen it before appending",
+                R::LOG_NAME,
                 self.path.display()
             )));
         }
-        let payload = delta.encode();
-        let bytes = payload.as_bytes();
-        if should_crash(faults, CrashPoint::JournalPreFsync) {
-            return Err(crash_err(CrashPoint::JournalPreFsync));
+        if should_crash(faults, R::CRASH_BEFORE_WRITE) {
+            return Err(crash_err(R::CRASH_BEFORE_WRITE));
         }
+        let payload = record.encode();
+        let bytes = payload.as_bytes();
+        let len = u32::try_from(bytes.len()).map_err(|_| {
+            GraphError::Io(format!(
+                "{} record too large: {} bytes",
+                R::LOG_NAME,
+                bytes.len()
+            ))
+        })?;
         let mut frame = Vec::with_capacity(8 + bytes.len());
-        frame.extend_from_slice(
-            &u32::try_from(bytes.len())
-                .map_err(|_| {
-                    GraphError::Io(format!("journal record too large: {} bytes", bytes.len()))
-                })?
-                .to_le_bytes(),
-        );
+        frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(&crc32(bytes).to_le_bytes());
         frame.extend_from_slice(bytes);
-        if should_crash(faults, CrashPoint::JournalMidAppend) {
-            let torn = &frame[..8 + bytes.len() / 2];
-            let _ = self.file.write_all(torn, None);
-            let _ = self.file.sync(None);
-            self.len += torn.len() as u64;
-            self.damaged = true;
-            return Err(crash_err(CrashPoint::JournalMidAppend));
+        if let Some(point) = R::CRASH_MID_WRITE {
+            if should_crash(faults, point) {
+                let torn = &frame[..8 + bytes.len() / 2];
+                let _ = self.file.write_all(torn, None);
+                let _ = self.file.sync(None);
+                self.len += torn.len() as u64;
+                self.damaged = true;
+                return Err(crash_err(point));
+            }
         }
         if let Err(e) = self.file.write_all(&frame, faults) {
-            self.damaged = true;
-            return Err(io_err("append to", &self.path, &e));
+            return Err(self.fail("append to", &e));
         }
         self.len += frame.len() as u64;
         match self.policy {
-            FsyncPolicy::Always => self.sync(faults)?,
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n {
-                    self.sync(faults)?;
-                }
-            }
-            FsyncPolicy::Never => {}
+            FsyncPolicy::Always => self.sync(faults),
+            FsyncPolicy::Never => Ok(()),
         }
-        Ok(())
     }
 
     /// Flush appended records to disk. A failed fsync poisons the
-    /// underlying handle (fsyncgate — see [`crate::vfs`]): the journal
-    /// is damaged and must be reopened, never retried in place.
+    /// underlying handle (fsyncgate — see [`crate::vfs`]): the log is
+    /// damaged and must be reopened, never retried in place.
     pub fn sync(&mut self, faults: Option<&FaultInjector>) -> Result<()> {
-        if let Err(e) = self.file.sync(faults) {
-            self.damaged = true;
-            return Err(io_err("sync", &self.path, &e));
-        }
-        self.unsynced = 0;
-        Ok(())
+        self.file.sync(faults).map_err(|e| self.fail("sync", &e))
     }
 
-    /// Truncate the journal back to just its magic — called after a
-    /// snapshot has durably captured everything the journal held
-    /// (compaction).
+    /// Truncate the log back to just its magic and sync — called after
+    /// snapshots have durably captured everything it held (compaction).
     pub fn reset(&mut self, faults: Option<&FaultInjector>) -> Result<()> {
-        if let Err(e) = self.file.set_len(WAL_MAGIC.len() as u64, faults) {
-            self.damaged = true;
-            return Err(io_err("truncate", &self.path, &e));
-        }
-        if let Err(e) = self.file.sync(faults) {
-            self.damaged = true;
-            return Err(io_err("sync", &self.path, &e));
-        }
-        self.len = WAL_MAGIC.len() as u64;
-        self.unsynced = 0;
+        self.file
+            .set_len(MAGIC_LEN as u64, faults)
+            .map_err(|e| self.fail("truncate", &e))?;
+        self.sync(faults)?;
+        self.len = MAGIC_LEN as u64;
         Ok(())
     }
 }
 
-/// The result of scanning a journal at startup.
-#[derive(Debug, Default)]
-pub struct ReplayOutcome {
+fn check_magic<R: LogRecord>(magic: &[u8], path: &Path) -> Result<()> {
+    if magic == R::MAGIC {
+        return Ok(());
+    }
+    Err(GraphError::corrupt(
+        path.display().to_string(),
+        0,
+        format!("bad {} magic {magic:?}", R::LOG_NAME),
+    ))
+}
+
+/// The result of scanning a log at startup.
+#[derive(Debug)]
+pub struct Replay<R> {
     /// Fully verified records, in append order.
-    pub deltas: Vec<EgDelta>,
+    pub records: Vec<R>,
     /// Byte offset where a torn tail begins (the file should be
     /// truncated to this length), if one was detected.
     pub torn_at: Option<u64>,
@@ -561,86 +568,74 @@ pub struct ReplayOutcome {
     pub bytes_discarded: u64,
 }
 
-/// Scan a journal file, verifying each record's length and CRC. A
-/// missing or empty file yields an empty outcome. A *torn tail* — a
-/// record whose frame is incomplete or whose CRC does not match, the
-/// signature of a crash mid-append — ends the scan; everything before
-/// it is returned and `torn_at` tells the caller where to truncate.
 /// Decode the 8-byte `(len, crc)` record header at `off`, or `None`
-/// when fewer than 8 bytes remain — the torn-tail case every replay
-/// loop handles, so header decoding itself can never panic.
+/// when fewer than 8 bytes remain — the torn-tail case the replay loop
+/// handles, so header decoding itself can never panic.
 fn header_at(bytes: &[u8], off: usize) -> Option<(usize, u32)> {
     let len: [u8; 4] = bytes.get(off..off + 4)?.try_into().ok()?;
     let crc: [u8; 4] = bytes.get(off + 4..off + 8)?.try_into().ok()?;
     Some((u32::from_le_bytes(len) as usize, u32::from_le_bytes(crc)))
 }
 
-/// A record that passes its CRC but does not parse is real corruption
-/// and is reported as an error naming the file and record number.
-pub fn replay(path: &Path) -> Result<ReplayOutcome> {
+/// Scan a log file, verifying each record's length and CRC. A missing
+/// or empty file yields an empty outcome. A *torn tail* — a record
+/// whose frame is incomplete or whose CRC does not match, the signature
+/// of a crash mid-append — ends the scan; everything before it is
+/// returned and `torn_at` tells the caller where to truncate (a publish
+/// whose commit record is torn was never committed). A record that
+/// passes its CRC but does not parse is real corruption and is reported
+/// as an error naming the file and record number.
+pub fn replay<R: LogRecord>(path: &Path) -> Result<Replay<R>> {
     replay_with(path, None)
 }
 
 /// [`replay`] with a fault injector consulted by the file read
 /// ([`crate::faults::IoFault::ReadErr`] makes the scan itself fail, as
 /// an unreadable sector would).
-pub fn replay_with(path: &Path, faults: Option<&FaultInjector>) -> Result<ReplayOutcome> {
+pub fn replay_with<R: LogRecord>(path: &Path, faults: Option<&FaultInjector>) -> Result<Replay<R>> {
+    let mut outcome = Replay {
+        records: Vec::new(),
+        torn_at: None,
+        bytes_discarded: 0,
+    };
     let bytes = match vfs::read(path, faults) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(ReplayOutcome::default()),
-        Err(e) => return Err(io_err("read", path, &e)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(outcome),
+        Err(e) => return Err(io_err("read", R::LOG_NAME, path, &e)),
     };
-    let mut outcome = ReplayOutcome::default();
     if bytes.is_empty() {
         return Ok(outcome);
     }
-    if bytes.len() < WAL_MAGIC.len() {
-        // A crash while initialising the file: everything is a torn tail.
-        outcome.torn_at = Some(0);
-        outcome.bytes_discarded = bytes.len() as u64;
-        return Ok(outcome);
-    }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(GraphError::corrupt(
-            path.display().to_string(),
-            0,
-            format!("bad journal magic {:?}", &bytes[..WAL_MAGIC.len()]),
-        ));
+    // A file shorter than the magic is a crash while initialising it:
+    // everything is a torn tail.
+    let mut off = 0;
+    if bytes.len() >= MAGIC_LEN {
+        check_magic::<R>(&bytes[..MAGIC_LEN], path)?;
+        off = MAGIC_LEN;
     }
     let origin = path.display().to_string();
-    let mut off = WAL_MAGIC.len();
-    let mut record = 0usize;
     while off < bytes.len() {
-        record += 1;
-        let torn = |outcome: &mut ReplayOutcome| {
+        let payload = header_at(&bytes, off).and_then(|(len, crc)| {
+            let payload = bytes.get(off + 8..)?.get(..len)?;
+            (crc32(payload) == crc).then_some(payload)
+        });
+        let Some(payload) = payload else {
             outcome.torn_at = Some(off as u64);
             outcome.bytes_discarded = (bytes.len() - off) as u64;
-        };
-        let Some((len, crc)) = header_at(&bytes, off) else {
-            torn(&mut outcome);
             break;
         };
-        let start = off + 8;
-        if bytes.len() - start < len {
-            torn(&mut outcome);
-            break;
-        }
-        let payload = &bytes[start..start + len];
-        if crc32(payload) != crc {
-            torn(&mut outcome);
-            break;
-        }
+        let record = outcome.records.len() + 1;
         let text = std::str::from_utf8(payload)
             .map_err(|_| GraphError::corrupt(&origin, record, "payload is not UTF-8"))?;
-        outcome.deltas.push(EgDelta::decode(text, &origin, record)?);
-        off = start + len;
+        outcome.records.push(R::decode(text, &origin, record)?);
+        off += 8 + payload.len();
     }
     Ok(outcome)
 }
 
-/// One committed cross-shard publish: its sequence number and the
-/// shards whose journals hold its per-shard records. Appending this
-/// record to the commit log is the *commit point* of a sharded publish.
+/// One committed publish: its sequence number and the shards whose
+/// journals hold its per-shard records. Appending this record to the
+/// commit log is the *commit point* of a publish.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitRecord {
     /// The publish sequence number (matches the `S` line of every
@@ -651,16 +646,34 @@ pub struct CommitRecord {
 }
 
 impl CommitRecord {
-    /// Serialise the record to its commit-log payload text.
+    /// The record sealing publish `seq` over the given (ascending) shard
+    /// indices.
     #[must_use]
-    pub fn encode(&self) -> String {
+    pub fn new(seq: u64, shards: impl IntoIterator<Item = usize>) -> Self {
+        CommitRecord {
+            seq,
+            shards: shards
+                .into_iter()
+                // co-lint:allow(no-panic) shard counts are small configuration values, far below u32::MAX
+                .map(|k| u32::try_from(k).expect("shard index fits u32"))
+                .collect(),
+        }
+    }
+}
+
+impl LogRecord for CommitRecord {
+    const MAGIC: &'static [u8; MAGIC_LEN] = COMMIT_MAGIC;
+    const LOG_NAME: &'static str = "commit log";
+    /// The record is never written: the publish stays uncommitted.
+    const CRASH_BEFORE_WRITE: CrashPoint = CrashPoint::CommitPreAppend;
+    const CRASH_MID_WRITE: Option<CrashPoint> = None;
+
+    fn encode(&self) -> String {
         let shards: Vec<String> = self.shards.iter().map(|s| format!("{s:x}")).collect();
         format!("C\t{:x}\t{}\n", self.seq, shards.join(","))
     }
 
-    /// Parse a commit-log payload. `origin` and `record` (1-based) name
-    /// the file and record in any error.
-    pub fn decode(payload: &str, origin: &str, record: usize) -> Result<CommitRecord> {
+    fn decode(payload: &str, origin: &str, record: usize) -> Result<CommitRecord> {
         let ctx = ParseCtx { origin, record };
         let line = payload
             .lines()
@@ -694,205 +707,9 @@ impl CommitRecord {
     }
 }
 
-/// The open, append-only cross-shard commit log (`eg.commit`). Framing
-/// is identical to the journal (`[len][crc32][payload]`) under its own
-/// magic, so torn tails are detected and truncated the same way.
-#[derive(Debug)]
-pub struct CommitLog {
-    file: VfsFile,
-    path: PathBuf,
-    len: u64,
-    damaged: bool,
-}
-
-impl CommitLog {
-    /// Open (or create) a commit log for appending. Run
-    /// [`replay_commits`] first so torn tails are truncated.
-    pub fn open(path: &Path) -> Result<CommitLog> {
-        CommitLog::open_with(path, None)
-    }
-
-    /// [`CommitLog::open`] with a fault injector consulted by the
-    /// open-time magic write/validation.
-    pub fn open_with(path: &Path, faults: Option<&FaultInjector>) -> Result<CommitLog> {
-        let mut file = VfsFile::open_append(path, faults).map_err(|e| io_err("open", path, &e))?;
-        let mut len = file.len().map_err(|e| io_err("stat", path, &e))?;
-        if len == 0 {
-            file.write_all(COMMIT_MAGIC, faults)
-                .map_err(|e| io_err("initialise", path, &e))?;
-            file.sync(faults).map_err(|e| io_err("sync", path, &e))?;
-            len = COMMIT_MAGIC.len() as u64;
-        } else {
-            if len < COMMIT_MAGIC.len() as u64 {
-                return Err(GraphError::corrupt(
-                    path.display().to_string(),
-                    0,
-                    "file shorter than the commit-log magic",
-                ));
-            }
-            let mut magic = [0u8; 8];
-            file.read_exact(&mut magic, faults)
-                .map_err(|e| io_err("read", path, &e))?;
-            if &magic != COMMIT_MAGIC {
-                return Err(GraphError::corrupt(
-                    path.display().to_string(),
-                    0,
-                    format!("bad commit-log magic {magic:?}"),
-                ));
-            }
-        }
-        Ok(CommitLog {
-            file,
-            path: path.to_path_buf(),
-            len,
-            damaged: false,
-        })
-    }
-
-    /// Current file length in bytes (magic + records).
-    #[must_use]
-    pub fn len_bytes(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether a failed append or sync has left this log in an unknown
-    /// on-disk state. A damaged log refuses appends until reopened.
-    #[must_use]
-    pub fn is_damaged(&self) -> bool {
-        self.damaged || self.file.is_poisoned()
-    }
-
-    /// Append one commit record and fsync it — the commit point of a
-    /// cross-shard publish. With [`CrashPoint::CommitPreAppend`] armed
-    /// the record is never written (the publish stays uncommitted).
-    pub fn append(&mut self, record: &CommitRecord, faults: Option<&FaultInjector>) -> Result<()> {
-        if self.is_damaged() {
-            return Err(GraphError::Io(format!(
-                "commit log {} is damaged by an earlier failed append; reopen it before appending",
-                self.path.display()
-            )));
-        }
-        if should_crash(faults, CrashPoint::CommitPreAppend) {
-            return Err(crash_err(CrashPoint::CommitPreAppend));
-        }
-        let payload = record.encode();
-        let bytes = payload.as_bytes();
-        let mut frame = Vec::with_capacity(8 + bytes.len());
-        frame.extend_from_slice(
-            &u32::try_from(bytes.len())
-                .map_err(|_| {
-                    GraphError::Io(format!("commit record too large: {} bytes", bytes.len()))
-                })?
-                .to_le_bytes(),
-        );
-        frame.extend_from_slice(&crc32(bytes).to_le_bytes());
-        frame.extend_from_slice(bytes);
-        if let Err(e) = self.file.write_all(&frame, faults) {
-            self.damaged = true;
-            return Err(io_err("append to", &self.path, &e));
-        }
-        self.len += frame.len() as u64;
-        if let Err(e) = self.file.sync(faults) {
-            self.damaged = true;
-            return Err(io_err("sync", &self.path, &e));
-        }
-        Ok(())
-    }
-
-    /// Truncate the commit log back to just its magic (compaction: the
-    /// shard snapshots now durably hold everything it decided).
-    pub fn reset(&mut self, faults: Option<&FaultInjector>) -> Result<()> {
-        if let Err(e) = self.file.set_len(COMMIT_MAGIC.len() as u64, faults) {
-            self.damaged = true;
-            return Err(io_err("truncate", &self.path, &e));
-        }
-        if let Err(e) = self.file.sync(faults) {
-            self.damaged = true;
-            return Err(io_err("sync", &self.path, &e));
-        }
-        self.len = COMMIT_MAGIC.len() as u64;
-        Ok(())
-    }
-}
-
-/// The result of scanning a commit log at startup.
-#[derive(Debug, Default)]
-pub struct CommitReplay {
-    /// Fully verified commit records, in append order.
-    pub records: Vec<CommitRecord>,
-    /// Byte offset where a torn tail begins, if one was detected.
-    pub torn_at: Option<u64>,
-    /// Bytes past `torn_at` that will be discarded.
-    pub bytes_discarded: u64,
-}
-
-/// Scan a commit log, verifying each record's length and CRC — same
-/// torn-tail semantics as [`replay`]: a torn record ends the scan (a
-/// publish whose commit record is torn was never committed); a record
-/// that passes its CRC but does not parse is real corruption.
-pub fn replay_commits(path: &Path) -> Result<CommitReplay> {
-    replay_commits_with(path, None)
-}
-
-/// [`replay_commits`] with a fault injector consulted by the file read.
-pub fn replay_commits_with(path: &Path, faults: Option<&FaultInjector>) -> Result<CommitReplay> {
-    let bytes = match vfs::read(path, faults) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(CommitReplay::default()),
-        Err(e) => return Err(io_err("read", path, &e)),
-    };
-    let mut outcome = CommitReplay::default();
-    if bytes.is_empty() {
-        return Ok(outcome);
-    }
-    if bytes.len() < COMMIT_MAGIC.len() {
-        outcome.torn_at = Some(0);
-        outcome.bytes_discarded = bytes.len() as u64;
-        return Ok(outcome);
-    }
-    if &bytes[..COMMIT_MAGIC.len()] != COMMIT_MAGIC {
-        return Err(GraphError::corrupt(
-            path.display().to_string(),
-            0,
-            format!("bad commit-log magic {:?}", &bytes[..COMMIT_MAGIC.len()]),
-        ));
-    }
-    let origin = path.display().to_string();
-    let mut off = COMMIT_MAGIC.len();
-    let mut record = 0usize;
-    while off < bytes.len() {
-        record += 1;
-        let torn = |outcome: &mut CommitReplay| {
-            outcome.torn_at = Some(off as u64);
-            outcome.bytes_discarded = (bytes.len() - off) as u64;
-        };
-        let Some((len, crc)) = header_at(&bytes, off) else {
-            torn(&mut outcome);
-            break;
-        };
-        let start = off + 8;
-        if bytes.len() - start < len {
-            torn(&mut outcome);
-            break;
-        }
-        let payload = &bytes[start..start + len];
-        if crc32(payload) != crc {
-            torn(&mut outcome);
-            break;
-        }
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| GraphError::corrupt(&origin, record, "payload is not UTF-8"))?;
-        outcome
-            .records
-            .push(CommitRecord::decode(text, &origin, record)?);
-        off = start + len;
-    }
-    Ok(outcome)
-}
-
-/// Truncate a journal to `valid_len` bytes, discarding a torn tail
-/// found by [`replay`]. Lengths shorter than the magic truncate to
-/// empty (the next [`Journal::open`] re-initialises the file).
+/// Truncate a log to `valid_len` bytes, discarding a torn tail found by
+/// [`replay`]. Lengths shorter than the magic truncate to empty (the
+/// next [`FramedLog::open`] re-initialises the file).
 pub fn truncate(path: &Path, valid_len: u64) -> Result<()> {
     truncate_with(path, valid_len, None)
 }
@@ -900,12 +717,12 @@ pub fn truncate(path: &Path, valid_len: u64) -> Result<()> {
 /// [`truncate`] with a fault injector consulted by the write (repair
 /// paths truncate torn tails while faults may still be armed).
 pub fn truncate_with(path: &Path, valid_len: u64, faults: Option<&FaultInjector>) -> Result<()> {
-    let keep = if valid_len < WAL_MAGIC.len() as u64 {
+    let keep = if valid_len < MAGIC_LEN as u64 {
         0
     } else {
         valid_len
     };
-    vfs::truncate(path, keep, faults).map_err(|e| io_err("truncate", path, &e))
+    vfs::truncate(path, keep, faults).map_err(|e| io_err("truncate", "log", path, &e))
 }
 
 #[cfg(test)]
@@ -995,9 +812,9 @@ mod tests {
         let delta = sample_delta();
         journal.append(&delta, None).unwrap();
         journal.append(&EgDelta::default(), None).unwrap();
-        let outcome = replay(&path).unwrap();
-        assert_eq!(outcome.deltas.len(), 2);
-        assert_eq!(outcome.deltas[0], delta);
+        let outcome = replay::<EgDelta>(&path).unwrap();
+        assert_eq!(outcome.records.len(), 2);
+        assert_eq!(outcome.records[0], delta);
         assert!(outcome.torn_at.is_none());
         fs::remove_file(&path).ok();
     }
@@ -1014,18 +831,18 @@ mod tests {
         bytes.extend_from_slice(&[42, 0, 0, 0, 1]);
         fs::write(&path, &bytes).unwrap();
 
-        let outcome = replay(&path).unwrap();
-        assert_eq!(outcome.deltas.len(), 1);
+        let outcome = replay::<EgDelta>(&path).unwrap();
+        assert_eq!(outcome.records.len(), 1);
         assert_eq!(outcome.torn_at, Some(good_len));
         assert_eq!(outcome.bytes_discarded, 5);
         truncate(&path, good_len).unwrap();
         // After truncation the journal is clean and appendable again.
-        let outcome = replay(&path).unwrap();
-        assert_eq!(outcome.deltas.len(), 1);
+        let outcome = replay::<EgDelta>(&path).unwrap();
+        assert_eq!(outcome.records.len(), 1);
         assert!(outcome.torn_at.is_none());
         let mut journal = Journal::open(&path, FsyncPolicy::Always).unwrap();
         journal.append(&EgDelta::default(), None).unwrap();
-        assert_eq!(replay(&path).unwrap().deltas.len(), 2);
+        assert_eq!(replay::<EgDelta>(&path).unwrap().records.len(), 2);
         fs::remove_file(&path).ok();
     }
 
@@ -1042,8 +859,8 @@ mod tests {
         bytes[n - 1] ^= 0xFF; // flip a byte inside record 2's payload
         fs::write(&path, &bytes).unwrap();
 
-        let outcome = replay(&path).unwrap();
-        assert_eq!(outcome.deltas.len(), 1);
+        let outcome = replay::<EgDelta>(&path).unwrap();
+        assert_eq!(outcome.records.len(), 1);
         assert_eq!(outcome.torn_at, Some(first_len));
         fs::remove_file(&path).ok();
     }
@@ -1051,12 +868,12 @@ mod tests {
     #[test]
     fn missing_file_is_empty_and_reset_clears() {
         let path = tmp("reset");
-        assert!(replay(&path).unwrap().deltas.is_empty());
-        let mut journal = Journal::open(&path, FsyncPolicy::EveryN(2)).unwrap();
+        assert!(replay::<EgDelta>(&path).unwrap().records.is_empty());
+        let mut journal = Journal::open(&path, FsyncPolicy::Never).unwrap();
         journal.append(&sample_delta(), None).unwrap();
         journal.reset(None).unwrap();
         assert_eq!(journal.len_bytes(), WAL_MAGIC.len() as u64);
-        assert!(replay(&path).unwrap().deltas.is_empty());
+        assert!(replay::<EgDelta>(&path).unwrap().records.is_empty());
         fs::remove_file(&path).ok();
     }
 
@@ -1064,7 +881,7 @@ mod tests {
     fn bad_magic_is_reported_with_path() {
         let path = tmp("magic");
         fs::write(&path, b"NOTAWAL!record").unwrap();
-        let err = replay(&path).unwrap_err();
+        let err = replay::<EgDelta>(&path).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("magic"), "{err}");
         fs::remove_file(&path).ok();
@@ -1078,8 +895,7 @@ mod tests {
         assert!(encoded.starts_with("S\t1f\n"), "{encoded}");
         let decoded = EgDelta::decode(&encoded, "<memory>", 1).unwrap();
         assert_eq!(decoded, delta);
-        // A delta without a sequence number encodes no S line at all —
-        // the single-journal layout is bit-identical to before.
+        // A delta without a sequence number encodes no S line at all.
         assert!(!sample_delta().encode().contains("S\t"));
     }
 
@@ -1087,7 +903,7 @@ mod tests {
     fn commit_log_round_trips_and_detects_torn_tail() {
         let path = std::env::temp_dir().join("co_graph_journal_commit.commit");
         let _ = fs::remove_file(&path);
-        let mut log = CommitLog::open(&path).unwrap();
+        let mut log = CommitLog::open(&path, FsyncPolicy::Always).unwrap();
         let a = CommitRecord {
             seq: 1,
             shards: vec![0, 3, 7],
@@ -1100,17 +916,17 @@ mod tests {
         let good_len = log.len_bytes();
         log.append(&b, None).unwrap();
         drop(log);
-        let replayed = replay_commits(&path).unwrap();
+        let replayed = replay::<CommitRecord>(&path).unwrap();
         assert_eq!(replayed.records, vec![a.clone(), b]);
         assert!(replayed.torn_at.is_none());
         // Tear the second record: replay keeps exactly the prefix.
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let replayed = replay_commits(&path).unwrap();
+        let replayed = replay::<CommitRecord>(&path).unwrap();
         assert_eq!(replayed.records, vec![a]);
         assert_eq!(replayed.torn_at, Some(good_len));
         truncate(&path, good_len).unwrap();
-        assert!(replay_commits(&path).unwrap().torn_at.is_none());
+        assert!(replay::<CommitRecord>(&path).unwrap().torn_at.is_none());
         fs::remove_file(&path).ok();
     }
 
@@ -1118,7 +934,7 @@ mod tests {
     fn commit_pre_append_crash_leaves_log_untouched() {
         let path = std::env::temp_dir().join("co_graph_journal_commit_crash.commit");
         let _ = fs::remove_file(&path);
-        let mut log = CommitLog::open(&path).unwrap();
+        let mut log = CommitLog::open(&path, FsyncPolicy::Always).unwrap();
         let faults = FaultInjector::new();
         faults.arm_crash(CrashPoint::CommitPreAppend);
         let rec = CommitRecord {
@@ -1126,9 +942,9 @@ mod tests {
             shards: vec![1],
         };
         assert!(log.append(&rec, Some(&faults)).is_err());
-        assert!(replay_commits(&path).unwrap().records.is_empty());
+        assert!(replay::<CommitRecord>(&path).unwrap().records.is_empty());
         log.append(&rec, Some(&faults)).unwrap(); // one-shot
-        assert_eq!(replay_commits(&path).unwrap().records.len(), 1);
+        assert_eq!(replay::<CommitRecord>(&path).unwrap().records.len(), 1);
         fs::remove_file(&path).ok();
     }
 
@@ -1166,14 +982,38 @@ mod tests {
         assert!(journal.append(&sample_delta(), Some(&faults)).is_err());
         drop(journal);
         // ENOSPC landed no bytes, so the committed prefix is intact.
-        let outcome = replay(&path).unwrap();
-        assert_eq!(outcome.deltas.len(), 1);
+        let outcome = replay::<EgDelta>(&path).unwrap();
+        assert_eq!(outcome.records.len(), 1);
         assert!(outcome.torn_at.is_none());
         let mut reopened = Journal::open(&path, FsyncPolicy::Always).unwrap();
         assert_eq!(reopened.len_bytes(), good_len);
         reopened.append(&sample_delta(), None).unwrap();
-        assert_eq!(replay(&path).unwrap().deltas.len(), 2);
+        assert_eq!(replay::<EgDelta>(&path).unwrap().records.len(), 2);
         fs::remove_file(&path).ok();
+    }
+
+    /// Both logs obey the policy: under `Never` no append touches
+    /// fsync (a permanently failing fsync goes unnoticed), under
+    /// `Always` the same fault fails the append and damages the log.
+    #[test]
+    fn both_logs_obey_the_fsync_policy() {
+        use crate::faults::IoFault;
+        let commit = CommitRecord::new(1, [0]);
+        for (policy, ok) in [(FsyncPolicy::Never, true), (FsyncPolicy::Always, false)] {
+            let wal = tmp("policy");
+            let cmt = tmp("policy_commit");
+            let mut journal = Journal::open(&wal, policy).unwrap();
+            let mut log = CommitLog::open(&cmt, policy).unwrap();
+            let faults = FaultInjector::new();
+            faults.arm_io_fault(IoFault::FsyncFail, usize::MAX);
+            assert_eq!(journal.append(&sample_delta(), Some(&faults)).is_ok(), ok);
+            assert_eq!(log.append(&commit, Some(&faults)).is_ok(), ok);
+            assert_eq!(faults.io_faults_fired() == 0, ok, "{policy:?}");
+            assert_eq!(journal.is_damaged(), !ok);
+            assert_eq!(log.is_damaged(), !ok);
+            fs::remove_file(&wal).ok();
+            fs::remove_file(&cmt).ok();
+        }
     }
 
     #[test]
@@ -1187,11 +1027,11 @@ mod tests {
         faults.arm_io_fault(IoFault::ShortWrite, 1);
         assert!(journal.append(&sample_delta(), Some(&faults)).is_err());
         drop(journal);
-        let outcome = replay(&path).unwrap();
-        assert_eq!(outcome.deltas.len(), 1);
+        let outcome = replay::<EgDelta>(&path).unwrap();
+        assert_eq!(outcome.records.len(), 1);
         assert_eq!(outcome.torn_at, Some(good_len));
         truncate(&path, good_len).unwrap();
-        assert!(replay(&path).unwrap().torn_at.is_none());
+        assert!(replay::<EgDelta>(&path).unwrap().torn_at.is_none());
         fs::remove_file(&path).ok();
     }
 
@@ -1203,8 +1043,8 @@ mod tests {
             mat_added: vec![ArtifactId(2)],
             ..EgDelta::default()
         };
-        delta.apply(&mut eg).unwrap();
-        delta.apply(&mut eg).unwrap(); // replay over an already-applied state
+        delta.apply_to_shard(&mut eg).unwrap();
+        delta.apply_to_shard(&mut eg).unwrap(); // replay over an already-applied state
         assert_eq!(eg.n_vertices(), 2);
         assert_eq!(eg.vertex(ArtifactId(1)).unwrap().frequency, 1);
         assert!(eg.was_materialized(ArtifactId(2)));
@@ -1219,8 +1059,8 @@ mod tests {
             mat_removed: vec![ArtifactId(2)],
             ..EgDelta::default()
         };
-        touch.apply(&mut eg).unwrap();
-        touch.apply(&mut eg).unwrap();
+        touch.apply_to_shard(&mut eg).unwrap();
+        touch.apply_to_shard(&mut eg).unwrap();
         assert_eq!(eg.vertex(ArtifactId(1)).unwrap().frequency, 5);
         assert!(!eg.was_materialized(ArtifactId(2)));
     }

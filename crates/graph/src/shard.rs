@@ -26,29 +26,26 @@
 //! * [`rewire_children`] — the recovery pass that rebuilds cross-shard
 //!   children links (per-shard snapshots and journals persist parent
 //!   lists only — children are always derived);
-//! * [`recover_shards`] — the shared startup-recovery routine (server
-//!   and `egfsck`): load per-shard `EGSNAP 3` snapshots, replay the
+//! * [`recover_shards`] — the one startup-recovery routine (server and
+//!   `egfsck`, every shard count): load per-shard `EGSNAP 3` snapshots, replay the
 //!   commit log, then replay each shard journal keeping exactly the
 //!   records that are both beyond the shard's snapshot watermark and
 //!   named by a commit record. A crash anywhere between the per-shard
 //!   appends of one publish rolls the whole publish back.
 //!
-//! On-disk layout of a sharded data directory (`n` shards):
+//! On-disk layout of a data directory (`n` shards, `n = 1` included):
 //!
 //! ```text
 //! eg-0.wal … eg-<n-1>.wal        one journal per shard (EGWAL 1)
 //! eg-0.egsnap … eg-<n-1>.egsnap  per-shard snapshots (EGSNAP 3)
-//! eg.commit                      the cross-shard commit log (EGCMT 1)
+//! eg.commit                      the commit log (EGCMT 1)
 //! ```
-//!
-//! The single-journal layout (`eg.wal` / `eg.egsnap`) is unchanged and
-//! remains the format written when the server runs with one shard.
 
 use crate::artifact::ArtifactId;
 use crate::error::{GraphError, Result};
 use crate::experiment::{EgVertex, ExperimentGraph};
 use crate::faults::FaultInjector;
-use crate::journal::{self, QuarantineEntry};
+use crate::journal::{self, CommitRecord, EgDelta, QuarantineEntry};
 use crate::lockorder;
 use crate::snapshot;
 use crate::storage::{ColumnVault, StorageManager};
@@ -60,16 +57,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Commit-log file name inside a sharded data directory.
+/// Commit-log file name inside a data directory.
 pub const COMMIT_FILE: &str = "eg.commit";
 
-/// Journal file name of shard `k` inside a sharded data directory.
+/// Files of the retired single-journal layout. Nothing reads them any
+/// more; [`recover_shards`] refuses a directory that holds one rather
+/// than silently serving an empty graph beside it.
+const RETIRED_LAYOUT_FILES: [&str; 2] = ["eg.wal", "eg.egsnap"];
+
+/// Journal file name of shard `k` inside a data directory.
 #[must_use]
 pub fn shard_journal_file(k: usize) -> String {
     format!("eg-{k}.wal")
 }
 
-/// Snapshot file name of shard `k` inside a sharded data directory.
+/// Snapshot file name of shard `k` inside a data directory.
 #[must_use]
 pub fn shard_snapshot_file(k: usize) -> String {
     format!("eg-{k}.egsnap")
@@ -405,8 +407,8 @@ impl ShardedEg {
 
 /// Rebuild children links across a freshly recovered shard array.
 /// Per-shard snapshots and journal records persist parent lists only
-/// (children are derived state, exactly as in the single-shard
-/// formats), so after every shard has loaded, each vertex registers
+/// (children are derived state), so after every shard has loaded, each
+/// vertex registers
 /// itself with its parents — wherever they live. Returns the (parent,
 /// child) pairs whose parent no shard defines; a committed-prefix
 /// recovery never produces any, so the server treats a non-empty list
@@ -440,8 +442,7 @@ pub fn rewire_children(shards: &mut [ExperimentGraph]) -> Vec<(ArtifactId, Artif
     unresolved
 }
 
-/// Everything [`recover_shards`] reconstructs from a sharded data
-/// directory.
+/// Everything [`recover_shards`] reconstructs from a data directory.
 pub struct ShardRecovery {
     /// The recovered shards, children links rewired, indexed by shard.
     pub graphs: Vec<ExperimentGraph>,
@@ -468,8 +469,8 @@ pub struct ShardRecovery {
     pub unresolved_links: Vec<(ArtifactId, ArtifactId)>,
 }
 
-/// Reconstruct exactly the committed prefix from a sharded data
-/// directory, without writing anything:
+/// Reconstruct exactly the committed prefix from a data directory,
+/// without writing anything:
 ///
 /// 1. load each shard's `EGSNAP 3` snapshot (absent ⇒ empty shard),
 ///    noting its sequence watermark;
@@ -482,7 +483,20 @@ pub struct ShardRecovery {
 ///
 /// The caller truncates the returned torn tails (server) or reports
 /// them (`egfsck`).
+///
+/// # Errors
+///
+/// [`GraphError::InvalidStructure`] when the directory holds the retired
+/// single-journal layout (`eg.wal` / `eg.egsnap`); corruption and I/O
+/// errors from the snapshot and log readers.
 pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardRecovery> {
+    if let Some(old) = RETIRED_LAYOUT_FILES.iter().find(|f| dir.join(f).exists()) {
+        return Err(GraphError::InvalidStructure(format!(
+            "data directory {} holds {old}, a file of the retired single-journal layout \
+             (eg.wal / eg.egsnap); this version reads only eg-<k>.wal / eg-<k>.egsnap / eg.commit",
+            dir.display()
+        )));
+    }
     let n = n_shards.max(1);
     let mut graphs = Vec::with_capacity(n);
     let mut watermarks = Vec::with_capacity(n);
@@ -505,7 +519,7 @@ pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardR
     }
 
     let commit_path = dir.join(COMMIT_FILE);
-    let commits = journal::replay_commits(&commit_path)?;
+    let commits = journal::replay::<CommitRecord>(&commit_path)?;
     let mut torn = Vec::new();
     if let Some(at) = commits.torn_at {
         torn.push((commit_path, at, commits.bytes_discarded));
@@ -519,16 +533,16 @@ pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardR
     let mut deltas_skipped = 0;
     for (k, graph) in graphs.iter_mut().enumerate() {
         let path = dir.join(shard_journal_file(k));
-        let outcome = journal::replay(&path)?;
+        let outcome = journal::replay::<EgDelta>(&path)?;
         if let Some(at) = outcome.torn_at {
             torn.push((path.clone(), at, outcome.bytes_discarded));
         }
-        for (record, delta) in outcome.deltas.iter().enumerate() {
+        for (record, delta) in outcome.records.iter().enumerate() {
             let Some(seq) = delta.seq else {
                 return Err(GraphError::corrupt(
                     path.display().to_string(),
                     record + 1,
-                    "sharded journal record carries no sequence number",
+                    "journal record carries no sequence number",
                 ));
             };
             max_seq = max_seq.max(seq);
@@ -582,7 +596,7 @@ pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardR
 mod tests {
     use super::*;
     use crate::artifact::NodeKind;
-    use crate::journal::{CommitLog, CommitRecord, EgDelta, FsyncPolicy, Journal};
+    use crate::journal::{CommitLog, FsyncPolicy, Journal};
     use std::fs;
 
     fn vertex(id: u64, parents: &[u64]) -> EgVertex {
@@ -731,7 +745,7 @@ mod tests {
         let mut journals: Vec<Journal> = (0..n)
             .map(|k| Journal::open(&dir.join(shard_journal_file(k)), FsyncPolicy::Always).unwrap())
             .collect();
-        let mut commit = CommitLog::open(&dir.join(COMMIT_FILE)).unwrap();
+        let mut commit = CommitLog::open(&dir.join(COMMIT_FILE), FsyncPolicy::Always).unwrap();
         journals[ka]
             .append(
                 &EgDelta {
@@ -742,15 +756,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        commit
-            .append(
-                &CommitRecord {
-                    seq: 1,
-                    shards: vec![u32::try_from(ka).unwrap()],
-                },
-                None,
-            )
-            .unwrap();
+        commit.append(&CommitRecord::new(1, [ka]), None).unwrap();
         journals[kb]
             .append(
                 &EgDelta {
@@ -795,7 +801,19 @@ mod tests {
     }
 
     #[test]
-    fn recovery_rejects_seqless_records_in_sharded_journals() {
+    fn recovery_refuses_the_retired_single_journal_layout() {
+        for old in RETIRED_LAYOUT_FILES {
+            let dir = tmp_dir("retired_layout");
+            fs::write(dir.join(old), b"").unwrap();
+            let err = recover_shards(&dir, 1, true).err().unwrap();
+            assert!(matches!(err, GraphError::InvalidStructure(_)), "{err}");
+            assert!(err.to_string().contains(old), "{err}");
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn recovery_rejects_seqless_journal_records() {
         let dir = tmp_dir("seqless");
         let mut j = Journal::open(&dir.join(shard_journal_file(0)), FsyncPolicy::Always).unwrap();
         j.append(

@@ -14,10 +14,11 @@
 //! therefore plans with full cost information immediately, and regains
 //! reuse opportunities as content streams back in.
 //!
-//! ## Format (`EGSNAP 2`)
+//! ## Format (`EGSNAP 3`)
 //!
 //! ```text
-//! EGSNAP 2
+//! EGSNAP 3
+//! W\t<sequence watermark, hex>
 //! V\t<10 vertex fields>\t<mat: 0|1>
 //! ...
 //! Q\t<op hash hex>\t<failures>\t<escaped name>
@@ -25,28 +26,28 @@
 //! #CRC <crc32 of everything above, 8 hex digits>
 //! ```
 //!
-//! Vertex lines come in topological (parents-first) order; free-text
-//! fields escape tabs/newlines/backslashes with `\`. The CRC footer
-//! covers every byte before it, so any single-byte corruption is
-//! detected at load instead of silently restoring a wrong graph.
-//! Snapshots are written atomically: temp file, fsync, rename (see
-//! [`save_with`]). The legacy headerless-of-extras `EGSNAP 1` format
-//! (no `V` tag, no mat flag, no quarantine, no CRC) still loads.
+//! One file holds one shard (`eg-<k>.egsnap`; a whole graph is the
+//! one-shard case). Vertex lines come in the shard's topological
+//! (parents-first) order; a vertex's parents may live in other shards,
+//! so parent ids are recorded but only resolved — and children links
+//! rebuilt — by `crate::shard::rewire_children` once every shard has
+//! loaded. The `W` line is the journal-replay watermark: records with a
+//! sequence number at or below it are already contained in the
+//! snapshot. Free-text fields escape tabs/newlines/backslashes with
+//! `\`. The CRC footer covers every byte before it, so any single-byte
+//! corruption is detected at load instead of silently restoring a wrong
+//! graph. Snapshots are written atomically: temp file, fsync, rename
+//! (see [`save_shard_with`]).
 
 use crate::artifact::{ArtifactId, NodeKind};
 use crate::error::{GraphError, Result};
 use crate::experiment::{EgVertex, ExperimentGraph};
 use crate::faults::{CrashPoint, FaultInjector};
-use crate::journal::{crc32, QuarantineEntry};
+use crate::journal::{crash_err, crc32, should_crash, QuarantineEntry};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-const HEADER_V1: &str = "EGSNAP 1";
-const HEADER_V2: &str = "EGSNAP 2";
-/// Per-shard snapshot of a sharded Experiment Graph: an `EGSNAP 2` body
-/// preceded by a `W\t<seq>` watermark line, parsed with *lenient*
-/// lineage (a vertex's parents may live in other shards).
-const HEADER_V3: &str = "EGSNAP 3";
+const HEADER: &str = "EGSNAP 3";
 const CRC_PREFIX: &str = "#CRC ";
 
 /// Origin label for snapshots parsed from in-memory strings.
@@ -195,15 +196,20 @@ pub(crate) fn parse_vertex_fields(fields: &[&str], ctx: &ParseCtx<'_>) -> Result
     })
 }
 
-/// A graph restored from a snapshot, with the persisted quarantine set.
+/// One shard — or, from the whole-graph entry points, one whole graph —
+/// restored from a snapshot.
 pub struct RestoredSnapshot {
     /// The rebuilt graph (meta-data only; empty content store).
     pub graph: ExperimentGraph,
-    /// Quarantine entries active when the snapshot was written.
+    /// Quarantine entries active when the snapshot was written (only
+    /// shard 0's snapshot carries any).
     pub quarantine: Vec<QuarantineEntry>,
+    /// Journal replay skips records with `seq <= watermark`: everything
+    /// up to the watermark is already contained in this snapshot.
+    pub watermark: u64,
 }
 
-/// Serialise the graph's meta-data (no quarantine) to an `EGSNAP 2`
+/// Serialise a whole graph's meta-data (no quarantine) to a snapshot
 /// string. See [`to_snapshot_with`].
 ///
 /// # Errors
@@ -215,78 +221,41 @@ pub fn to_snapshot(eg: &ExperimentGraph) -> Result<String> {
     to_snapshot_with(eg, &[])
 }
 
-/// The typed error for a graph whose topological order lists a vertex
-/// the graph cannot resolve: in-memory corruption, reported like any
-/// other durability corruption instead of panicking mid-save.
-fn unknown_vertex(id: ArtifactId) -> GraphError {
-    GraphError::corrupt(
-        "<memory>",
-        0,
-        format!("topo order lists unknown vertex {:x}", id.0),
-    )
-}
-
-/// Serialise the graph's meta-data and the quarantine set to an
-/// `EGSNAP 2` string, CRC footer included.
+/// Serialise a whole graph's meta-data and the quarantine set: the
+/// one-shard snapshot at watermark 0.
 ///
 /// # Errors
 ///
 /// The graph's topological order lists an unresolvable vertex (see
 /// [`to_snapshot`]).
 pub fn to_snapshot_with(eg: &ExperimentGraph, quarantine: &[QuarantineEntry]) -> Result<String> {
-    let mut out = String::new();
-    let _ = writeln!(out, "{HEADER_V2}");
-    for id in eg.topo_order() {
-        let v = eg.vertex(*id).map_err(|_| unknown_vertex(*id))?;
-        let mat = u8::from(eg.was_materialized(*id));
-        let _ = writeln!(out, "V\t{}\t{}", vertex_fields(v), mat);
-    }
-    for q in quarantine {
-        let _ = writeln!(
-            out,
-            "Q\t{:x}\t{}\t{}",
-            q.op_hash,
-            q.failures,
-            escape(&q.name)
-        );
-    }
-    let _ = writeln!(out, "{CRC_PREFIX}{:08x}", crc32(out.as_bytes()));
-    Ok(out)
+    to_shard_snapshot(eg, quarantine, 0)
 }
 
-/// Rebuild a graph from a snapshot string (either `EGSNAP 2` or the
-/// legacy `EGSNAP 1`), dropping the quarantine set.
+/// Rebuild a whole graph from a snapshot string, dropping the
+/// quarantine set.
 pub fn from_snapshot(text: &str, dedup: bool) -> Result<ExperimentGraph> {
     from_snapshot_full(text, dedup, IN_MEMORY).map(|r| r.graph)
 }
 
-/// Rebuild a graph and the quarantine set from a snapshot string.
-/// `origin` names the source (a file path, usually) in parse errors.
+/// Rebuild a whole graph and the quarantine set from a snapshot string:
+/// parse it as the only shard, then resolve lineage — every parent must
+/// be defined by the same file. `origin` names the source (a file path,
+/// usually) in parse errors.
 pub fn from_snapshot_full(text: &str, dedup: bool, origin: &str) -> Result<RestoredSnapshot> {
-    let header = text.lines().next().unwrap_or("");
-    match header {
-        HEADER_V2 => from_v2(text, dedup, origin),
-        HEADER_V1 => from_v1(text, dedup, origin),
-        HEADER_V3 => Err(GraphError::corrupt(
+    let mut restored = from_shard_snapshot(text, dedup, origin)?;
+    let unresolved = crate::shard::rewire_children(std::slice::from_mut(&mut restored.graph));
+    match unresolved.first() {
+        None => Ok(restored),
+        Some((parent, child)) => Err(GraphError::corrupt(
             origin,
             0,
-            "this is a per-shard snapshot (EGSNAP 3) — open the data dir with the sharded layout",
-        )),
-        other => Err(GraphError::corrupt(
-            origin,
-            0,
-            format!("expected header {HEADER_V2:?} or {HEADER_V1:?}, found {other:?}"),
+            format!(
+                "vertex {:x} lists parent {:x}, which the snapshot never defines",
+                child.0, parent.0
+            ),
         )),
     }
-}
-
-fn check_parents(eg: &ExperimentGraph, v: &EgVertex, ctx: &ParseCtx<'_>) -> Result<()> {
-    for p in &v.parents {
-        if !eg.contains(*p) {
-            return Err(ctx.err(format!("parent {:x} referenced before definition", p.0)));
-        }
-    }
-    Ok(())
 }
 
 /// Verify the canonical `#CRC` footer over everything preceding it and
@@ -328,90 +297,15 @@ fn verify_crc_footer(text: &str, origin: &str) -> Result<usize> {
     Ok(footer_at)
 }
 
-fn from_v2(text: &str, dedup: bool, origin: &str) -> Result<RestoredSnapshot> {
-    // Verify the CRC footer over everything preceding it before
-    // trusting a single field.
-    let footer_at = verify_crc_footer(text, origin)?;
-    let mut eg = ExperimentGraph::new(dedup);
-    let mut quarantine = Vec::new();
-    for (lineno, line) in text[..footer_at].lines().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ctx = ParseCtx {
-            origin,
-            record: lineno + 1,
-        };
-        let fields: Vec<&str> = line.split('\t').collect();
-        match fields[0] {
-            "V" if fields.len() == 12 => {
-                let v = parse_vertex_fields(&fields[1..11], &ctx)?;
-                let mat = match fields[11] {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(ctx.err(format!("bad mat flag {other:?}"))),
-                };
-                check_parents(&eg, &v, &ctx)?;
-                let id = v.id;
-                eg.restore_vertex(v).map_err(|e| ctx.err(e.to_string()))?;
-                if mat {
-                    eg.mark_restored_materialized(id);
-                }
-            }
-            "Q" if fields.len() == 4 => quarantine.push(QuarantineEntry {
-                op_hash: u64::from_str_radix(fields[1], 16)
-                    .map_err(|_| ctx.err("bad op hash in Q line"))?,
-                failures: fields[2]
-                    .parse()
-                    .map_err(|_| ctx.err("bad failure count in Q line"))?,
-                name: unescape(fields[3]).map_err(|m| ctx.err(m))?,
-            }),
-            tag => {
-                return Err(ctx.err(format!(
-                    "unknown or malformed snapshot line {tag:?} ({} fields)",
-                    fields.len()
-                )))
-            }
-        }
-    }
-    Ok(RestoredSnapshot {
-        graph: eg,
-        quarantine,
-    })
-}
-
-fn from_v1(text: &str, dedup: bool, origin: &str) -> Result<RestoredSnapshot> {
-    let mut eg = ExperimentGraph::new(dedup);
-    for (lineno, line) in text.lines().enumerate().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ctx = ParseCtx {
-            origin,
-            record: lineno + 1,
-        };
-        let fields: Vec<&str> = line.split('\t').collect();
-        let v = parse_vertex_fields(&fields, &ctx)?;
-        check_parents(&eg, &v, &ctx)?;
-        eg.restore_vertex(v).map_err(|e| ctx.err(e.to_string()))?;
-    }
-    Ok(RestoredSnapshot {
-        graph: eg,
-        quarantine: Vec::new(),
-    })
-}
-
-/// One shard restored from an `EGSNAP 3` snapshot. Children links and
-/// cross-shard lineage are *not* validated here — run the sharded
-/// recovery's rewire pass (`crate::shard`) over all shards afterwards.
-pub struct RestoredShardSnapshot {
-    /// The rebuilt shard (meta-data only; empty content store).
-    pub graph: ExperimentGraph,
-    /// Quarantine entries (only shard 0's snapshot carries any).
-    pub quarantine: Vec<QuarantineEntry>,
-    /// Journal replay skips records with `seq <= watermark`: everything
-    /// up to the watermark is already contained in this snapshot.
-    pub watermark: u64,
+/// The typed error for a graph whose topological order lists a vertex
+/// the graph cannot resolve: in-memory corruption, reported like any
+/// other durability corruption instead of panicking mid-save.
+fn unknown_vertex(id: ArtifactId) -> GraphError {
+    GraphError::corrupt(
+        IN_MEMORY,
+        0,
+        format!("topo order lists unknown vertex {:x}", id.0),
+    )
 }
 
 /// Serialise one shard's meta-data, quarantine set and sequence
@@ -427,7 +321,7 @@ pub fn to_shard_snapshot(
     watermark: u64,
 ) -> Result<String> {
     let mut out = String::new();
-    let _ = writeln!(out, "{HEADER_V3}");
+    let _ = writeln!(out, "{HEADER}");
     let _ = writeln!(out, "W\t{watermark:x}");
     for id in eg.topo_order() {
         let v = eg.vertex(*id).map_err(|_| unknown_vertex(*id))?;
@@ -450,13 +344,13 @@ pub fn to_shard_snapshot(
 /// Rebuild one shard from an `EGSNAP 3` string. Parents are recorded
 /// but not resolved (they may live in other shards); children links are
 /// left empty for the recovery rewire pass.
-pub fn from_shard_snapshot(text: &str, dedup: bool, origin: &str) -> Result<RestoredShardSnapshot> {
+pub fn from_shard_snapshot(text: &str, dedup: bool, origin: &str) -> Result<RestoredSnapshot> {
     let header = text.lines().next().unwrap_or("");
-    if header != HEADER_V3 {
+    if header != HEADER {
         return Err(GraphError::corrupt(
             origin,
             0,
-            format!("expected header {HEADER_V3:?}, found {header:?}"),
+            format!("expected header {HEADER:?}, found {header:?}"),
         ));
     }
     let footer_at = verify_crc_footer(text, origin)?;
@@ -512,15 +406,19 @@ pub fn from_shard_snapshot(text: &str, dedup: bool, origin: &str) -> Result<Rest
     }
     let watermark = watermark
         .ok_or_else(|| GraphError::corrupt(origin, 0, "shard snapshot is missing its W line"))?;
-    Ok(RestoredShardSnapshot {
+    Ok(RestoredSnapshot {
         graph: eg,
         quarantine,
         watermark,
     })
 }
 
-/// Write one shard's snapshot atomically (same temp+fsync+rename
-/// discipline and crash points as [`save_with`]).
+/// Write one shard's snapshot (graph + quarantine set + watermark) to
+/// disk atomically: the full contents go to `<path>.tmp`, which is
+/// fsynced and then renamed over `path`, so a crash at any point leaves
+/// either the old complete snapshot or the new complete snapshot —
+/// never a torn mix. With a fault injector armed, the snapshot
+/// [`CrashPoint`]s fire here.
 pub fn save_shard_with(
     eg: &ExperimentGraph,
     quarantine: &[QuarantineEntry],
@@ -533,10 +431,14 @@ pub fn save_shard_with(
 }
 
 /// Load one shard's snapshot from disk.
-pub fn load_shard_full(path: &Path, dedup: bool) -> Result<RestoredShardSnapshot> {
-    let text = crate::vfs::read_to_string(path, None)
-        .map_err(|e| GraphError::Io(format!("cannot read snapshot {}: {e}", path.display())))?;
+pub fn load_shard_full(path: &Path, dedup: bool) -> Result<RestoredSnapshot> {
+    let text = read_snapshot(path)?;
     from_shard_snapshot(&text, dedup, &path.display().to_string())
+}
+
+fn read_snapshot(path: &Path) -> Result<String> {
+    crate::vfs::read_to_string(path, None)
+        .map_err(|e| GraphError::Io(format!("cannot read snapshot {}: {e}", path.display())))
 }
 
 /// The temp-file path used by atomic saves: `<path>.tmp`.
@@ -551,33 +453,10 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> GraphError {
     GraphError::Io(format!("cannot {what} snapshot {}: {e}", path.display()))
 }
 
-fn should_crash(faults: Option<&FaultInjector>, point: CrashPoint) -> bool {
-    faults.is_some_and(|f| f.take_crash(point))
-}
-
-fn crash_err(point: CrashPoint) -> GraphError {
-    GraphError::Io(format!("injected crash at {}", point.name()))
-}
-
-/// Write a snapshot to disk atomically (temp file + fsync + rename).
-/// See [`save_with`].
+/// Write a whole graph's snapshot to disk atomically (see
+/// [`save_shard_with`]).
 pub fn save(eg: &ExperimentGraph, path: &Path) -> Result<()> {
-    save_with(eg, &[], path, None)
-}
-
-/// Write a snapshot (graph + quarantine set) to disk atomically:
-/// the full contents go to `<path>.tmp`, which is fsynced and then
-/// renamed over `path`, so a crash at any point leaves either the old
-/// complete snapshot or the new complete snapshot — never a torn mix.
-/// With a fault injector armed, the snapshot [`CrashPoint`]s fire here.
-pub fn save_with(
-    eg: &ExperimentGraph,
-    quarantine: &[QuarantineEntry],
-    path: &Path,
-    faults: Option<&FaultInjector>,
-) -> Result<()> {
-    let text = to_snapshot_with(eg, quarantine)?;
-    write_atomic(&text, path, faults)
+    save_shard_with(eg, &[], 0, path, None)
 }
 
 fn write_atomic(text: &str, path: &Path, faults: Option<&FaultInjector>) -> Result<()> {
@@ -609,16 +488,10 @@ fn write_atomic(text: &str, path: &Path, faults: Option<&FaultInjector>) -> Resu
     Ok(())
 }
 
-/// Load a snapshot from disk, dropping the quarantine set.
+/// Load a whole graph's snapshot from disk, dropping the quarantine set.
 pub fn load(path: &Path, dedup: bool) -> Result<ExperimentGraph> {
-    load_full(path, dedup).map(|r| r.graph)
-}
-
-/// Load a snapshot and the persisted quarantine set from disk.
-pub fn load_full(path: &Path, dedup: bool) -> Result<RestoredSnapshot> {
-    let text = crate::vfs::read_to_string(path, None)
-        .map_err(|e| GraphError::Io(format!("cannot read snapshot {}: {e}", path.display())))?;
-    from_snapshot_full(&text, dedup, &path.display().to_string())
+    let text = read_snapshot(path)?;
+    from_snapshot_full(&text, dedup, &path.display().to_string()).map(|r| r.graph)
 }
 
 #[cfg(test)]
@@ -730,30 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn loads_legacy_v1_snapshots() {
-        // An EGSNAP 1 file from an existing deployment: no V tag, no mat
-        // flag, no quarantine, no CRC footer.
-        let v1 = "EGSNAP 1\n\
-                  aa\tD\t2\t0\t64\t0\t-\tsrc\tdesc\t\n\
-                  bb\tM\t2\t1.5\t32\t0.875\tbeef\t-\tmodel\taa\n";
-        let restored = from_snapshot_full(v1, true, "legacy.egsnap").unwrap();
-        assert_eq!(restored.graph.n_vertices(), 2);
-        assert!(restored.quarantine.is_empty());
-        assert!(!restored.graph.was_materialized(ArtifactId(0xaa)));
-        let m = restored.graph.vertex(ArtifactId(0xbb)).unwrap();
-        assert_eq!(m.quality, 0.875);
-        assert_eq!(m.parents, vec![ArtifactId(0xaa)]);
-        // And a v1 parse error names the file and line.
-        let bad = "EGSNAP 1\naa\tD\tnot_a_number\t0\t64\t0\t-\tsrc\tdesc\t\n";
-        let err = from_snapshot_full(bad, true, "legacy.egsnap")
-            .err()
-            .expect("bad v1 line");
-        let msg = err.to_string();
-        assert!(msg.contains("legacy.egsnap"), "{msg}");
-        assert!(msg.contains("record 2"), "{msg}");
-    }
-
-    #[test]
     fn shard_snapshot_round_trips_with_watermark() {
         let eg = populated();
         let quarantine = vec![QuarantineEntry {
@@ -766,9 +615,11 @@ mod tests {
         assert_eq!(restored.watermark, 0x2a);
         assert_eq!(restored.quarantine, quarantine);
         assert_eq!(restored.graph.n_vertices(), eg.n_vertices());
-        // The legacy loader refuses a per-shard snapshot outright.
-        let err = from_snapshot_full(&text, true, IN_MEMORY).err().unwrap();
-        assert!(err.to_string().contains("EGSNAP 3"), "{err}");
+        // The whole-graph loader reads the same format (a whole graph
+        // is the one-shard case) and wires the children links.
+        let whole = from_snapshot_full(&text, true, IN_MEMORY).unwrap();
+        assert_eq!(whole.watermark, 0x2a);
+        assert_eq!(whole.graph.potentials(), eg.potentials());
         // A v3 file without its watermark line is rejected.
         let body = "EGSNAP 3\n";
         let no_w = format!("{body}{CRC_PREFIX}{:08x}\n", crc32(body.as_bytes()));
@@ -789,19 +640,26 @@ mod tests {
         assert!(v.children.is_empty());
         assert!(restored.graph.was_materialized(ArtifactId(0xbb)));
         assert!(!restored.graph.contains(ArtifactId(0xaa)));
+        // A whole-graph snapshot must define every parent it names.
+        let err = from_snapshot_full(&text, true, "whole.egsnap")
+            .err()
+            .unwrap();
+        assert!(matches!(err, GraphError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("never defines"), "{err}");
     }
 
     #[test]
     fn rejects_malformed_input() {
         assert!(from_snapshot("", true).is_err());
         assert!(from_snapshot("WRONG", true).is_err());
-        assert!(from_snapshot("EGSNAP 1\nnot\tenough\tfields", true).is_err());
-        // Parent referenced before definition.
-        let bad = "EGSNAP 1\nff\tD\t1\t0\t0\t0\t-\t-\tdesc\taa";
-        assert!(from_snapshot(bad, true).is_err());
-        // v2 without its footer is treated as truncated.
-        let headless = "EGSNAP 2\n";
-        assert!(from_snapshot(headless, true).is_err());
+        // Retired formats are named in the error, not silently parsed.
+        for version in 1..=2 {
+            let old = format!("EGSNAP {version}\n");
+            let err = from_snapshot(&old, true).err().expect("retired header");
+            assert!(err.to_string().contains("EGSNAP 3"), "{err}");
+        }
+        // A current header without its footer is treated as truncated.
+        assert!(from_snapshot("EGSNAP 3\nW\t0\n", true).is_err());
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Property tests for the cross-shard commit log (`EGCMT 1`): the
+//! Property tests for the commit log (`EGCMT 1`): the
 //! commit-record codec must round-trip exactly, and any single-byte
 //! corruption of the on-disk log must be *detected* — as a hard error,
 //! or by confining the damage to a truncated tail so the surviving
 //! prefix is exactly the records that were committed (the commit log's
 //! tail, like the journal's, may legitimately be torn by a crash
-//! mid-append). These mirror `durability_props.rs` for the new file
-//! format the sharded layout introduces.
+//! mid-append). These mirror `durability_props.rs` for the framed
+//! log's second payload type.
 
-use co_graph::journal::{self, CommitRecord};
-use co_graph::CommitLog;
+use co_graph::journal::{self, CommitLog, CommitRecord, FsyncPolicy, LogRecord};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -51,12 +50,12 @@ proptest! {
     fn commit_log_round_trips(records in proptest::collection::vec(arb_record(), 1..5)) {
         let path = scratch("round_trip.commit");
         let _ = std::fs::remove_file(&path);
-        let mut log = CommitLog::open(&path).unwrap();
+        let mut log = CommitLog::open(&path, FsyncPolicy::Never).unwrap();
         for r in &records {
             log.append(r, None).unwrap();
         }
         drop(log);
-        let out = journal::replay_commits(&path).unwrap();
+        let out = journal::replay::<CommitRecord>(&path).unwrap();
         prop_assert!(out.torn_at.is_none());
         prop_assert_eq!(out.records, records);
     }
@@ -73,7 +72,7 @@ proptest! {
     ) {
         let path = scratch("corrupt.commit");
         let _ = std::fs::remove_file(&path);
-        let mut log = CommitLog::open(&path).unwrap();
+        let mut log = CommitLog::open(&path, FsyncPolicy::Never).unwrap();
         for r in &records {
             log.append(r, None).unwrap();
         }
@@ -83,7 +82,7 @@ proptest! {
         bytes[at] ^= mask;
         std::fs::write(&path, &bytes).unwrap();
 
-        match journal::replay_commits(&path) {
+        match journal::replay::<CommitRecord>(&path) {
             Err(_) => {} // detected outright
             Ok(out) => {
                 prop_assert!(
@@ -109,7 +108,7 @@ proptest! {
     ) {
         let path = scratch("truncate.commit");
         let _ = std::fs::remove_file(&path);
-        let mut log = CommitLog::open(&path).unwrap();
+        let mut log = CommitLog::open(&path, FsyncPolicy::Never).unwrap();
         for r in &records {
             log.append(r, None).unwrap();
         }
@@ -121,7 +120,7 @@ proptest! {
         // A cut exactly on a record boundary leaves a shorter but clean
         // log (no torn tail); anywhere else the tail is flagged. Either
         // way the surviving records are a prefix of the originals.
-        let out = journal::replay_commits(&path).unwrap();
+        let out = journal::replay::<CommitRecord>(&path).unwrap();
         prop_assert!(out.records.len() <= records.len());
         for (got, want) in out.records.iter().zip(records.iter()) {
             prop_assert_eq!(got, want);

@@ -1,12 +1,12 @@
 //! Property tests for the durability codecs: journal records and
-//! `EGSNAP 2` snapshots must round-trip hostile text exactly, and any
+//! `EGSNAP 3` snapshots must round-trip hostile text exactly, and any
 //! single-byte corruption of the on-disk bytes must be *detected* — as
 //! a hard error, or (for the journal, whose tail may legitimately be
 //! torn by a crash) by confining the damage to a truncated tail so the
 //! surviving prefix is exactly what was committed.
 
 use co_dataframe::Scalar;
-use co_graph::journal::{self, EgDelta, FsyncPolicy, Journal, VertexTouch};
+use co_graph::journal::{self, EgDelta, FsyncPolicy, Journal, LogRecord, VertexTouch};
 use co_graph::{
     snapshot, ArtifactId, EgVertex, ExperimentGraph, NodeKind, Operation, QuarantineEntry, Value,
     WorkloadDag,
@@ -198,9 +198,9 @@ proptest! {
             j.append(d, None).unwrap();
         }
         drop(j);
-        let out = journal::replay(&path).unwrap();
+        let out = journal::replay::<EgDelta>(&path).unwrap();
         prop_assert!(out.torn_at.is_none());
-        prop_assert_eq!(out.deltas, deltas);
+        prop_assert_eq!(out.records, deltas);
     }
 
     /// Flip any single byte of a journal file: replay must either error
@@ -224,7 +224,7 @@ proptest! {
         bytes[at] ^= mask;
         std::fs::write(&path, &bytes).unwrap();
 
-        match journal::replay(&path) {
+        match journal::replay::<EgDelta>(&path) {
             Err(_) => {} // detected outright
             Ok(out) => {
                 prop_assert!(
@@ -233,18 +233,18 @@ proptest! {
                     at,
                     mask
                 );
-                prop_assert!(out.deltas.len() <= deltas.len());
-                for (got, want) in out.deltas.iter().zip(deltas.iter()) {
+                prop_assert!(out.records.len() <= deltas.len());
+                for (got, want) in out.records.iter().zip(deltas.iter()) {
                     prop_assert_eq!(got, want);
                 }
             }
         }
     }
 
-    /// `EGSNAP 2` round trip: vertices, materialization flags, and the
+    /// Whole-graph `EGSNAP 3` round trip: vertices, materialization flags, and the
     /// quarantine set all survive, and re-serialising the restored state
     /// is bytewise identical (stable fixed point).
-    fn snapshot_v2_round_trips(
+    fn snapshot_round_trips(
         names in proptest::collection::vec(hostile(0..8), 1..4),
         mat_mask in proptest::collection::vec(prop_bool::ANY, 1..4),
         quarantine in proptest::collection::vec(arb_quarantine_entry(), 0..3),
@@ -269,7 +269,7 @@ proptest! {
         );
     }
 
-    /// Flip any single byte of an `EGSNAP 2` snapshot: loading must
+    /// Flip any single byte of an `EGSNAP 3` snapshot: loading must
     /// fail. Unlike the journal there is no legitimate torn state — the
     /// file is renamed into place atomically — so every corruption is a
     /// hard error (invalid UTF-8 counts: the file no longer reads as a

@@ -6,7 +6,7 @@
 //!
 //! Scans every `crates/*/src/**/*.rs` file under the workspace root
 //! (default: the current directory) with the eight-rule catalog (see
-//! `DESIGN.md` §16) and prints `file:line: [rule] message` per
+//! `DESIGN.md` §14) and prints `file:line: [rule] message` per
 //! violation, or a single JSON document with `--json`.
 //!
 //! Exit codes, mirroring `egfsck`:

@@ -17,7 +17,7 @@
 //! a `fn` nested in a `fn` folds into its parent), which is the right
 //! trade-off for a linter: the rules that consume them are heuristics
 //! with an explicit suppression escape hatch, documented in
-//! `DESIGN.md` §16.
+//! `DESIGN.md` §14.
 
 use crate::lexer::{Tok, TokKind};
 

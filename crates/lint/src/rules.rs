@@ -17,7 +17,7 @@
 //! escape hatch that *forces the author to write down why* — turning
 //! tribal knowledge into greppable annotations. The heuristics'
 //! exact shapes (receiver-name matching, statement spans) are
-//! documented per-rule below and in `DESIGN.md` §16.
+//! documented per-rule below and in `DESIGN.md` §14.
 
 use crate::context::Structure;
 use crate::lexer::{Comment, Tok, TokKind};

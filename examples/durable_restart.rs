@@ -5,7 +5,7 @@
 //! flags all survive; only artifact *content* streams back in as
 //! workloads re-execute (see DESIGN.md §10).
 //!
-//! The second half shows the *graded* failure mode (DESIGN.md §15): the
+//! The second half shows the *graded* failure mode (DESIGN.md §10): the
 //! disk filling up mid-session does NOT require a restart. Publishes
 //! are rejected with a retriable read-only error while reads keep
 //! serving, and once space is back one repair call (or the background

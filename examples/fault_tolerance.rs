@@ -1,6 +1,6 @@
 //! Fault tolerance in action: transient retries, panic isolation,
 //! partial-progress salvage, quarantine, load-miss degradation, and
-//! graded storage degradation with self-healing (DESIGN.md §15).
+//! graded storage degradation with self-healing (DESIGN.md §10).
 //!
 //! ```sh
 //! cargo run --release --example fault_tolerance

@@ -91,10 +91,7 @@ fn data_dir(name: &str) -> PathBuf {
 }
 
 fn assert_fsck_clean(dir: &std::path::Path) {
-    let report = match co_graph::fsck::detect_shard_layout(dir) {
-        Some(n) => co_graph::fsck::check_sharded_data_dir(dir, n, true).unwrap(),
-        None => co_graph::fsck::check_data_dir(dir, true).unwrap(),
-    };
+    let report = co_graph::fsck::check_data_dir(dir, true).unwrap();
     assert!(report.is_clean(), "data dir: {report}");
 }
 

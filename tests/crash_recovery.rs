@@ -1,9 +1,9 @@
 //! Crash matrix: kill persistence at every injected crash point and
 //! assert a restarted server recovers exactly the committed-workload
 //! prefix — same vertex ids, frequencies, materialization flags, and
-//! quarantine set. Runs against both durability layouts: the classic
-//! single-journal server and the sharded one (per-shard journals sealed
-//! by a cross-shard commit record, DESIGN.md §14).
+//! quarantine set. There is one durability layout (per-shard journals
+//! sealed by a commit record, DESIGN.md §10), so every test body runs
+//! at `shards = 1` and `shards = 8`.
 
 use co_core::{DurabilityConfig, OptimizerServer, ServerConfig};
 use co_dataframe::Scalar;
@@ -47,9 +47,10 @@ fn workload(tail: &'static str) -> WorkloadDag {
 }
 
 /// A three-op chain whose artifacts provably land on at least two
-/// different shards of an `n`-way partition (op names are salted until
-/// the hash-based routing spreads them), so a crash injected *between*
-/// two per-shard journal appends is actually reachable.
+/// different shards of an `n`-way partition when it has two (op names
+/// are salted until the hash-based routing spreads them), so a crash
+/// injected *between* two per-shard journal appends is actually
+/// reachable.
 fn cross_shard_workload(n: usize, salt: u64) -> WorkloadDag {
     for attempt in 0.. {
         let mut dag = WorkloadDag::new();
@@ -66,7 +67,7 @@ fn cross_shard_workload(n: usize, salt: u64) -> WorkloadDag {
             .iter()
             .map(|node| shard_of(node.artifact, n))
             .collect();
-        if shards.len() >= 2 {
+        if shards.len() >= n.min(2) {
             return dag;
         }
     }
@@ -139,455 +140,409 @@ fn open(config: ServerConfig, dir: &PathBuf) -> (OptimizerServer, co_core::Recov
     OptimizerServer::open(config, DurabilityConfig::new(dir)).unwrap()
 }
 
+/// The shard counts every test body runs at: the whole-graph publish
+/// (paper materializer) and the subset publish (first-fit).
+const SHARD_COUNTS: [usize; 2] = [1, 8];
+
+fn config_for(shards: usize) -> ServerConfig {
+    let mut config = ServerConfig::collaborative(u64::MAX);
+    config.shards = shards;
+    config
+}
+
 /// After any crash-and-recover sequence, the live graph and an offline
 /// replay of the data directory must both satisfy every egfsck
-/// invariant — cross-shard invariants included when sharded.
+/// invariant — cross-shard invariants included.
 fn assert_fsck_clean(server: &OptimizerServer, dir: &std::path::Path) {
     let guards = server.shards().read_all();
-    let live = if guards.len() == 1 {
-        co_graph::fsck::check_graph(&guards[0])
-    } else {
-        let refs: Vec<&co_graph::ExperimentGraph> = guards.iter().map(|g| &**g).collect();
-        let quarantine: Vec<QuarantineEntry> = server
-            .quarantine()
-            .map(|q| {
-                q.entries()
-                    .into_iter()
-                    .map(|(op_hash, name, failures)| QuarantineEntry {
-                        op_hash,
-                        name,
-                        failures,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        co_graph::fsck::check_shards(&refs, &quarantine)
-    };
+    let refs: Vec<&co_graph::ExperimentGraph> = guards.iter().map(|g| &**g).collect();
+    let quarantine: Vec<QuarantineEntry> = server
+        .quarantine()
+        .map(|q| {
+            q.entries()
+                .into_iter()
+                .map(|(op_hash, name, failures)| QuarantineEntry {
+                    op_hash,
+                    name,
+                    failures,
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    let live = co_graph::fsck::check_shards(&refs, &quarantine);
     assert!(live.is_clean(), "live graph: {live}");
     drop(guards);
-    let offline = match co_graph::fsck::detect_shard_layout(dir) {
-        Some(n) => co_graph::fsck::check_sharded_data_dir(dir, n, true).unwrap(),
-        None => co_graph::fsck::check_data_dir(dir, true).unwrap(),
-    };
+    let offline = co_graph::fsck::check_data_dir(dir, true).unwrap();
     assert!(offline.is_clean(), "data dir: {offline}");
 }
 
+/// Every journal-side crash point — including, where a publish spans
+/// several shards, one fired *between* two shards' journal appends —
+/// must roll the whole publish back on reopen. The commit record
+/// decides atomicity: per-shard records whose sequence number never
+/// reached `eg.commit` are skipped by recovery.
 #[test]
 fn journal_crash_points_recover_the_committed_prefix() {
-    for point in [CrashPoint::JournalMidAppend, CrashPoint::JournalPreFsync] {
-        let dir = data_dir(&format!("crash_{}", point.name()));
-        let config = ServerConfig::collaborative(u64::MAX);
-        let (server, recovery) = open(config, &dir);
-        assert!(!recovery.snapshot_loaded);
+    for shards in SHARD_COUNTS {
+        let mut points = vec![
+            CrashPoint::JournalMidAppend,
+            CrashPoint::JournalPreFsync,
+            CrashPoint::CommitPreAppend,
+        ];
+        if shards > 1 {
+            // Only reachable when one publish appends to two journals.
+            points.push(CrashPoint::ShardGapAppend);
+        }
+        for point in points {
+            let dir = data_dir(&format!("crash_{shards}_{}", point.name()));
+            let config = config_for(shards);
+            let (server, recovery) = open(config, &dir);
+            assert!(!recovery.snapshot_loaded);
 
-        let faults = Arc::new(FaultInjector::new());
-        server.set_fault_injector(Arc::clone(&faults));
-        server.run_workload(workload("tail_one")).unwrap();
-        let committed = fingerprint(&server);
+            let faults = Arc::new(FaultInjector::new());
+            server.set_fault_injector(Arc::clone(&faults));
+            server
+                .run_workload(cross_shard_workload(shards, 1))
+                .unwrap();
+            let committed = fingerprint(&server);
 
-        // The crash fires while the second workload's delta is being
-        // journaled: the run is reported failed (its effects would not
-        // survive a restart) …
-        faults.arm_crash(point);
-        let err = server.run_workload(workload("tail_two")).unwrap_err();
-        assert!(err.to_string().contains(point.name()), "{err}");
-        assert_eq!(faults.crashes_fired(), 1);
-        assert_eq!(server.stats().failed_workloads, 1);
+            // The crash fires while the second workload's deltas are
+            // being journaled: the run is reported failed (its effects
+            // would not survive a restart) …
+            faults.arm_crash(point);
+            let err = server
+                .run_workload(cross_shard_workload(shards, 100))
+                .unwrap_err();
+            assert!(err.to_string().contains(point.name()), "{point:?}: {err}");
+            assert_eq!(faults.crashes_fired(), 1, "{point:?}");
+            assert_eq!(server.stats().failed_workloads, 1);
 
-        // … and the durability layer wedges: later publishes refuse
-        // rather than journal records recovery could never replay.
-        let wedged = server.run_workload(workload("tail_three")).unwrap_err();
-        assert!(wedged.to_string().contains("wedged"), "{wedged}");
+            // … and the durability layer wedges: later publishes refuse
+            // rather than journal records recovery could never replay.
+            let wedged = server
+                .run_workload(cross_shard_workload(shards, 200))
+                .unwrap_err();
+            assert!(wedged.to_string().contains("wedged"), "{wedged}");
+            assert!(server.is_wedged());
 
-        // "Reboot": a server opened from the same directory holds
-        // exactly the committed prefix.
-        drop(server);
-        let (reopened, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&reopened), committed, "{point:?}");
-        assert_eq!(
-            recovery.torn_tail_truncated,
-            point == CrashPoint::JournalMidAppend,
-            "mid-append leaves a torn record, pre-fsync loses it whole"
-        );
+            // "Reboot": a server opened from the same directory holds
+            // exactly the committed prefix.
+            drop(server);
+            let (reopened, recovery) = open(config, &dir);
+            assert_eq!(fingerprint(&reopened), committed, "{shards} {point:?}");
+            assert_eq!(
+                recovery.torn_tail_truncated,
+                point == CrashPoint::JournalMidAppend,
+                "mid-append leaves a torn record, the others lose it whole"
+            );
+            assert_eq!(recovery.committed_publishes, 1, "{shards} {point:?}");
+            if matches!(
+                point,
+                CrashPoint::ShardGapAppend | CrashPoint::CommitPreAppend
+            ) {
+                // Some journal holds fully written records for the
+                // crashed publish; without its commit record they are
+                // uncommitted and recovery must skip them.
+                assert!(
+                    recovery.journal_records_skipped > 0,
+                    "{point:?} leaves uncommitted records to skip: {recovery:?}"
+                );
+                assert!(recovery.render().contains("skipped"));
+            }
 
-        // The reopened server serves and persists workloads normally.
-        reopened.run_workload(workload("tail_two")).unwrap();
-        let after = fingerprint(&reopened);
-        drop(reopened);
-        let (third, _) = open(config, &dir);
-        assert_eq!(fingerprint(&third), after);
-        assert_fsck_clean(&third, &dir);
+            // The reopened server serves and persists workloads normally.
+            reopened
+                .run_workload(cross_shard_workload(shards, 100))
+                .unwrap();
+            let after = fingerprint(&reopened);
+            drop(reopened);
+            let (third, _) = open(config, &dir);
+            assert_eq!(fingerprint(&third), after, "{shards} {point:?}");
+            assert_fsck_clean(&third, &dir);
+        }
     }
 }
 
+/// Snapshot crash points during a compaction: an interrupted snapshot
+/// save leaves (at most) a temp file; the live snapshots, journals, and
+/// commit log still recover everything committed.
 #[test]
 fn snapshot_crash_points_never_damage_the_live_snapshot() {
-    for point in [
-        CrashPoint::SnapshotMidWrite,
-        CrashPoint::SnapshotPreFsync,
-        CrashPoint::SnapshotPreRename,
-    ] {
-        let dir = data_dir(&format!("crash_{}", point.name()));
-        let config = ServerConfig::collaborative(u64::MAX);
-        let (server, _) = open(config, &dir);
-        let faults = Arc::new(FaultInjector::new());
-        server.set_fault_injector(Arc::clone(&faults));
+    for shards in SHARD_COUNTS {
+        for point in [
+            CrashPoint::SnapshotMidWrite,
+            CrashPoint::SnapshotPreFsync,
+            CrashPoint::SnapshotPreRename,
+        ] {
+            let dir = data_dir(&format!("crash_{shards}_{}", point.name()));
+            let config = config_for(shards);
+            let (server, _) = open(config, &dir);
+            let faults = Arc::new(FaultInjector::new());
+            server.set_fault_injector(Arc::clone(&faults));
 
-        // One compacted workload (lives in the snapshot) plus one
-        // journaled workload, so recovery must stitch both sources.
-        server.run_workload(workload("tail_one")).unwrap();
-        server.compact().unwrap();
-        server.run_workload(workload("tail_two")).unwrap();
-        let committed = fingerprint(&server);
+            // One compacted workload (lives in the snapshots) plus one
+            // journaled workload, so recovery must stitch both sources.
+            server
+                .run_workload(cross_shard_workload(shards, 1))
+                .unwrap();
+            server.compact().unwrap();
+            server
+                .run_workload(cross_shard_workload(shards, 50))
+                .unwrap();
+            let committed = fingerprint(&server);
 
-        faults.arm_crash(point);
-        let err = server.compact().unwrap_err();
-        assert!(err.to_string().contains(point.name()), "{err}");
-        assert_eq!(faults.crashes_fired(), 1);
+            faults.arm_crash(point);
+            let err = server.compact().unwrap_err();
+            assert!(err.to_string().contains(point.name()), "{err}");
+            assert_eq!(faults.crashes_fired(), 1);
 
-        // The interrupted save left (at most) a temp file behind; the
-        // live snapshot + journal still recover everything committed.
-        drop(server);
-        let (reopened, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&reopened), committed, "{point:?}");
-        assert_eq!(recovery.stray_tmp_removed, 1, "{point:?}");
-        assert!(recovery.snapshot_loaded);
+            // The interrupted save left (at most) a temp file behind; the
+            // live snapshots + journals still recover everything committed.
+            drop(server);
+            let (reopened, recovery) = open(config, &dir);
+            assert_eq!(fingerprint(&reopened), committed, "{shards} {point:?}");
+            assert_eq!(recovery.stray_tmp_removed, 1, "{shards} {point:?}");
+            assert!(recovery.snapshot_loaded);
 
-        // Compaction itself still works after the "crash".
-        reopened.compact().unwrap();
-        assert_eq!(reopened.stats().snapshots_compacted, 1);
-        drop(reopened);
-        let (third, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&third), committed);
-        assert_eq!(recovery.journal_records_replayed, 0, "journal compacted");
-        assert_fsck_clean(&third, &dir);
+            // Compaction itself still works after the "crash"; afterwards
+            // the journals replay nothing.
+            reopened.compact().unwrap();
+            assert_eq!(reopened.stats().snapshots_compacted, 1);
+            drop(reopened);
+            let (third, recovery) = open(config, &dir);
+            assert_eq!(fingerprint(&third), committed, "{shards} {point:?}");
+            assert_eq!(recovery.journal_records_replayed, 0, "journals compacted");
+            assert_fsck_clean(&third, &dir);
+        }
     }
 }
 
 #[test]
 fn torn_tail_is_truncated_and_reported() {
-    let dir = data_dir("torn_tail");
-    let config = ServerConfig::collaborative(u64::MAX);
-    let (server, _) = open(config, &dir);
-    let faults = Arc::new(FaultInjector::new());
-    server.set_fault_injector(Arc::clone(&faults));
-    server.run_workload(workload("tail_one")).unwrap();
-    faults.arm_crash(CrashPoint::JournalMidAppend);
-    server.run_workload(workload("tail_two")).unwrap_err();
-    drop(server);
+    for shards in SHARD_COUNTS {
+        let dir = data_dir(&format!("torn_tail_{shards}"));
+        let config = config_for(shards);
+        let (server, _) = open(config, &dir);
+        let faults = Arc::new(FaultInjector::new());
+        server.set_fault_injector(Arc::clone(&faults));
+        server.run_workload(workload("tail_one")).unwrap();
+        faults.arm_crash(CrashPoint::JournalMidAppend);
+        server.run_workload(workload("tail_two")).unwrap_err();
+        drop(server);
 
-    let (reopened, recovery) = open(config, &dir);
-    assert!(recovery.torn_tail_truncated);
-    assert!(recovery.torn_bytes_discarded > 0);
-    assert_eq!(recovery.journal_records_replayed, 1);
-    let stats = reopened.stats();
-    assert_eq!(stats.journal_records_replayed, 1);
-    assert_eq!(stats.torn_tail_truncated, 1);
-    assert!(
-        recovery.render().contains("torn tail"),
-        "{}",
-        recovery.render()
-    );
+        // `journal_records_replayed` counts per-shard records applied
+        // (one per publish at one shard, one per touched shard beyond);
+        // `committed_publishes` counts publishes.
+        let replayed_ok = |recovery: &co_core::RecoveryReport, publishes: usize| {
+            assert_eq!(recovery.committed_publishes, publishes, "{recovery:?}");
+            if shards == 1 {
+                assert_eq!(recovery.journal_records_replayed, publishes);
+            } else {
+                assert!(recovery.journal_records_replayed >= publishes);
+            }
+        };
+        let (reopened, recovery) = open(config, &dir);
+        assert!(recovery.torn_tail_truncated);
+        assert!(recovery.torn_bytes_discarded > 0);
+        replayed_ok(&recovery, 1);
+        let stats = reopened.stats();
+        assert_eq!(
+            stats.journal_records_replayed,
+            recovery.journal_records_replayed
+        );
+        assert_eq!(stats.torn_tail_truncated, 1);
+        assert!(
+            recovery.render().contains("torn tail"),
+            "{}",
+            recovery.render()
+        );
 
-    // The truncated journal accepts appends again; a third open sees a
-    // clean file with both workloads.
-    reopened.run_workload(workload("tail_two")).unwrap();
-    drop(reopened);
-    let (third, recovery) = open(config, &dir);
-    assert!(!recovery.torn_tail_truncated);
-    assert_eq!(recovery.journal_records_replayed, 2);
-    assert_eq!(third.stats().torn_tail_truncated, 0);
-    assert_fsck_clean(&third, &dir);
+        // The truncated journal accepts appends again; a third open sees
+        // clean files with both workloads.
+        reopened.run_workload(workload("tail_two")).unwrap();
+        drop(reopened);
+        let (third, recovery) = open(config, &dir);
+        assert!(!recovery.torn_tail_truncated);
+        replayed_ok(&recovery, 2);
+        assert_eq!(third.stats().torn_tail_truncated, 0);
+        assert_fsck_clean(&third, &dir);
+    }
 }
 
+/// The quarantine set survives a restart: Q± records are confined to
+/// shard 0's journal and committed like any other publish.
 #[test]
 fn quarantine_survives_restart() {
-    let dir = data_dir("quarantine_restart");
-    let mut config = ServerConfig::collaborative(u64::MAX);
-    config.quarantine_after = Some(2);
-    let (server, _) = open(config, &dir);
-    let faults = Arc::new(FaultInjector::new());
-    faults.fail_op_forever("tail_one", FaultKind::Permanent);
-    server.set_fault_injector(Arc::clone(&faults));
+    for shards in SHARD_COUNTS {
+        let dir = data_dir(&format!("quarantine_restart_{shards}"));
+        let mut config = config_for(shards);
+        config.quarantine_after = Some(2);
+        let (server, _) = open(config, &dir);
+        let faults = Arc::new(FaultInjector::new());
+        faults.fail_op_forever("tail_one", FaultKind::Permanent);
+        server.set_fault_injector(Arc::clone(&faults));
 
-    // Two consecutive permanent failures trip the quarantine; the
-    // second run's delta journals the Q+ entry.
-    server.run_workload(workload("tail_one")).unwrap_err();
-    server.run_workload(workload("tail_one")).unwrap_err();
-    let committed = fingerprint(&server);
-    assert_eq!(committed.quarantine.len(), 1);
+        // Two consecutive permanent failures trip the quarantine; the
+        // second run's delta journals the Q+ entry.
+        server.run_workload(workload("tail_one")).unwrap_err();
+        server.run_workload(workload("tail_one")).unwrap_err();
+        let committed = fingerprint(&server);
+        assert_eq!(committed.quarantine.len(), 1);
 
-    // Restart WITHOUT the fault injector: the operation would succeed
-    // if re-run, but the restored quarantine fast-fails it instead of
-    // letting the poisoned op at the server again.
-    drop(server);
-    let (reopened, recovery) = open(config, &dir);
-    assert_eq!(recovery.quarantine_restored, 1);
-    assert_eq!(fingerprint(&reopened), committed);
-    let err = reopened.run_workload(workload("tail_one")).unwrap_err();
-    assert!(
-        matches!(err.error, GraphError::Quarantined { failures: 2, .. }),
-        "{err}"
-    );
+        // Restart WITHOUT the fault injector: the operation would succeed
+        // if re-run, but the restored quarantine fast-fails it instead of
+        // letting the poisoned op at the server again.
+        drop(server);
+        let (reopened, recovery) = open(config, &dir);
+        assert_eq!(recovery.quarantine_restored, 1);
+        assert_eq!(fingerprint(&reopened), committed);
+        let err = reopened.run_workload(workload("tail_one")).unwrap_err();
+        assert!(
+            matches!(err.error, GraphError::Quarantined { failures: 2, .. }),
+            "{err}"
+        );
 
-    // Releasing and succeeding clears the entry durably (Q- journaled).
-    {
-        let quarantine = reopened.quarantine().unwrap();
-        let (op, ..) = quarantine.entries()[0];
-        quarantine.release(op);
+        // Releasing and succeeding clears the entry durably (Q- journaled
+        // through shard 0 and committed).
+        {
+            let quarantine = reopened.quarantine().unwrap();
+            let (op, ..) = quarantine.entries()[0];
+            quarantine.release(op);
+        }
+        reopened.run_workload(workload("tail_one")).unwrap();
+        drop(reopened);
+        let (third, recovery) = open(config, &dir);
+        assert_eq!(recovery.quarantine_restored, 0);
+        assert!(fingerprint(&third).quarantine.is_empty());
+        third.run_workload(workload("tail_one")).unwrap();
+        assert_fsck_clean(&third, &dir);
     }
-    reopened.run_workload(workload("tail_one")).unwrap();
-    drop(reopened);
-    let (third, recovery) = open(config, &dir);
-    assert_eq!(recovery.quarantine_restored, 0);
-    assert!(fingerprint(&third).quarantine.is_empty());
-    third.run_workload(workload("tail_one")).unwrap();
-    assert_fsck_clean(&third, &dir);
 }
 
 #[test]
 fn journal_threshold_triggers_auto_compaction() {
-    let dir = data_dir("auto_compact");
-    let config = ServerConfig::collaborative(u64::MAX);
-    let mut durability = DurabilityConfig::new(&dir);
-    durability.compact_journal_bytes = 1; // every publish crosses it
-    let (server, _) = OptimizerServer::open(config, durability).unwrap();
-    server.run_workload(workload("tail_one")).unwrap();
-    server.run_workload(workload("tail_two")).unwrap();
-    assert!(server.stats().snapshots_compacted >= 2);
-    let committed = fingerprint(&server);
-    drop(server);
+    for shards in SHARD_COUNTS {
+        let dir = data_dir(&format!("auto_compact_{shards}"));
+        let config = config_for(shards);
+        let mut durability = DurabilityConfig::new(&dir);
+        durability.compact_journal_bytes = 1; // every publish crosses it
+        let (server, _) = OptimizerServer::open(config, durability).unwrap();
+        server.run_workload(workload("tail_one")).unwrap();
+        server.run_workload(workload("tail_two")).unwrap();
+        assert!(server.stats().snapshots_compacted >= 2);
+        let committed = fingerprint(&server);
+        drop(server);
 
-    // Everything lives in the snapshot; the journal replays nothing.
-    let (reopened, recovery) = open(config, &dir);
-    assert!(recovery.snapshot_loaded);
-    assert_eq!(recovery.journal_records_replayed, 0);
-    assert_eq!(fingerprint(&reopened), committed);
-    assert_fsck_clean(&reopened, &dir);
+        // Everything lives in the snapshots; the journals replay nothing.
+        let (reopened, recovery) = open(config, &dir);
+        assert!(recovery.snapshot_loaded);
+        assert_eq!(recovery.journal_records_replayed, 0);
+        assert_eq!(fingerprint(&reopened), committed);
+        assert_fsck_clean(&reopened, &dir);
+    }
 }
 
 #[test]
 fn eviction_is_durable() {
-    let dir = data_dir("evict_durable");
-    let config = ServerConfig::collaborative(u64::MAX);
-    let (server, _) = open(config, &dir);
-    server.run_workload(workload("tail_one")).unwrap();
-    let evict: Vec<ArtifactId> = {
-        let eg = server.eg();
-        eg.storage().materialized_ids()
-    };
-    assert!(!evict.is_empty());
-    for id in &evict {
-        server.evict_artifact(*id);
-    }
-    let committed = fingerprint(&server);
-    for id in &evict {
-        assert!(!committed.mat.contains(&id.0));
-    }
-    drop(server);
-
-    let (reopened, _) = open(config, &dir);
-    assert_eq!(
-        fingerprint(&reopened),
-        committed,
-        "eviction survives restart"
-    );
-    assert_fsck_clean(&reopened, &dir);
-}
-
-// ---- sharded layout (shards = 8) ------------------------------------
-
-/// The crash matrix against the sharded durability layout: every
-/// journal-side crash point — including one fired *between* two shards'
-/// journal appends of a single cross-shard publish — must roll the
-/// whole publish back on reopen. The commit record decides atomicity:
-/// per-shard records whose sequence number never reached `eg.commit`
-/// are skipped by recovery.
-#[test]
-fn sharded_crash_matrix_recovers_the_committed_prefix() {
-    for point in [
-        CrashPoint::JournalMidAppend,
-        CrashPoint::JournalPreFsync,
-        CrashPoint::ShardGapAppend,
-        CrashPoint::CommitPreAppend,
-    ] {
-        let dir = data_dir(&format!("shard_crash_{}", point.name()));
-        let mut config = ServerConfig::collaborative(u64::MAX);
-        config.shards = 8;
-        let (server, recovery) = open(config, &dir);
-        assert!(!recovery.snapshot_loaded);
-        let faults = Arc::new(FaultInjector::new());
-        server.set_fault_injector(Arc::clone(&faults));
-
-        server.run_workload(cross_shard_workload(8, 1)).unwrap();
-        let committed = fingerprint(&server);
-
-        // The crash fires while the second (cross-shard) publish is
-        // being journaled: the run reports failed …
-        faults.arm_crash(point);
-        let err = server
-            .run_workload(cross_shard_workload(8, 100))
-            .unwrap_err();
-        assert!(err.to_string().contains(point.name()), "{point:?}: {err}");
-        assert_eq!(faults.crashes_fired(), 1, "{point:?}");
-        assert_eq!(server.stats().failed_workloads, 1);
-
-        // … and durability wedges exactly like the single-shard layout.
-        let wedged = server
-            .run_workload(cross_shard_workload(8, 200))
-            .unwrap_err();
-        assert!(wedged.to_string().contains("wedged"), "{wedged}");
-        assert!(server.is_wedged());
-
-        drop(server);
-        let (reopened, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&reopened), committed, "{point:?}");
-        if matches!(
-            point,
-            CrashPoint::ShardGapAppend | CrashPoint::CommitPreAppend
-        ) {
-            // Some shard journals hold fully written records for the
-            // crashed publish; without its commit record they are
-            // uncommitted and recovery must skip them.
-            assert!(
-                recovery.journal_records_skipped > 0,
-                "{point:?} leaves uncommitted records to skip: {recovery:?}"
-            );
-            assert!(recovery.render().contains("skipped"));
-        }
-
-        // The reopened server serves and persists normally again.
-        reopened.run_workload(cross_shard_workload(8, 100)).unwrap();
-        let after = fingerprint(&reopened);
-        drop(reopened);
-        let (third, _) = open(config, &dir);
-        assert_eq!(fingerprint(&third), after, "{point:?}");
-        assert_fsck_clean(&third, &dir);
-    }
-}
-
-/// Snapshot crash points during a sharded compaction: an interrupted
-/// per-shard snapshot save leaves (at most) a temp file; the live
-/// snapshots, journals, and commit log still recover everything
-/// committed.
-#[test]
-fn sharded_compaction_crash_points_never_damage_live_snapshots() {
-    for point in [
-        CrashPoint::SnapshotMidWrite,
-        CrashPoint::SnapshotPreFsync,
-        CrashPoint::SnapshotPreRename,
-    ] {
-        let dir = data_dir(&format!("shard_crash_{}", point.name()));
-        let mut config = ServerConfig::collaborative(u64::MAX);
-        config.shards = 8;
+    for shards in SHARD_COUNTS {
+        let dir = data_dir(&format!("evict_durable_{shards}"));
+        let config = config_for(shards);
         let (server, _) = open(config, &dir);
-        let faults = Arc::new(FaultInjector::new());
-        server.set_fault_injector(Arc::clone(&faults));
-
-        // One compacted publish (lives in the shard snapshots) plus one
-        // journaled publish, so recovery must stitch both sources.
-        server.run_workload(cross_shard_workload(8, 1)).unwrap();
-        server.compact().unwrap();
-        server.run_workload(cross_shard_workload(8, 50)).unwrap();
+        server.run_workload(workload("tail_one")).unwrap();
+        let evict: Vec<ArtifactId> = server
+            .shards()
+            .read_all()
+            .iter()
+            .flat_map(|eg| eg.storage().materialized_ids())
+            .collect();
+        assert!(!evict.is_empty());
+        for id in &evict {
+            server.evict_artifact(*id);
+        }
         let committed = fingerprint(&server);
-
-        faults.arm_crash(point);
-        let err = server.compact().unwrap_err();
-        assert!(err.to_string().contains(point.name()), "{err}");
-
+        for id in &evict {
+            assert!(!committed.mat.contains(&id.0));
+        }
         drop(server);
-        let (reopened, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&reopened), committed, "{point:?}");
-        assert_eq!(recovery.stray_tmp_removed, 1, "{point:?}");
-        assert!(recovery.snapshot_loaded);
 
-        // Compaction itself still works after the "crash"; afterwards
-        // the journals replay nothing.
-        reopened.compact().unwrap();
-        drop(reopened);
-        let (third, recovery) = open(config, &dir);
-        assert_eq!(fingerprint(&third), committed, "{point:?}");
-        assert_eq!(recovery.journal_records_replayed, 0, "journals compacted");
-        assert_fsck_clean(&third, &dir);
+        let (reopened, _) = open(config, &dir);
+        assert_eq!(
+            fingerprint(&reopened),
+            committed,
+            "eviction survives restart"
+        );
+        assert_fsck_clean(&reopened, &dir);
     }
 }
 
-/// The quarantine set survives a sharded restart: Q± records are
-/// confined to shard 0's journal and committed like any other publish.
-#[test]
-fn sharded_quarantine_survives_restart() {
-    let dir = data_dir("shard_quarantine_restart");
-    let mut config = ServerConfig::collaborative(u64::MAX);
-    config.shards = 8;
-    config.quarantine_after = Some(2);
-    let (server, _) = open(config, &dir);
-    let faults = Arc::new(FaultInjector::new());
-    faults.fail_op_forever("tail_one", FaultKind::Permanent);
-    server.set_fault_injector(Arc::clone(&faults));
-
-    server.run_workload(workload("tail_one")).unwrap_err();
-    server.run_workload(workload("tail_one")).unwrap_err();
-    let committed = fingerprint(&server);
-    assert_eq!(committed.quarantine.len(), 1);
-
-    drop(server);
-    let (reopened, recovery) = open(config, &dir);
-    assert_eq!(recovery.quarantine_restored, 1);
-    assert_eq!(fingerprint(&reopened), committed);
-    let err = reopened.run_workload(workload("tail_one")).unwrap_err();
-    assert!(
-        matches!(err.error, GraphError::Quarantined { failures: 2, .. }),
-        "{err}"
-    );
-
-    // Releasing and succeeding clears the entry durably (Q- journaled
-    // through shard 0 and committed).
-    {
-        let quarantine = reopened.quarantine().unwrap();
-        let (op, ..) = quarantine.entries()[0];
-        quarantine.release(op);
-    }
-    reopened.run_workload(workload("tail_one")).unwrap();
-    drop(reopened);
-    let (third, recovery) = open(config, &dir);
-    assert_eq!(recovery.quarantine_restored, 0);
-    assert!(fingerprint(&third).quarantine.is_empty());
-    third.run_workload(workload("tail_one")).unwrap();
-    assert_fsck_clean(&third, &dir);
-}
-
-/// A sharded data directory refuses to open under the wrong shard
-/// count — and a single-journal directory refuses a sharded config.
+/// A data directory refuses to open under a shard count other than the
+/// one it was written with — in either direction.
 #[test]
 fn shard_count_mismatch_is_rejected_at_open() {
-    let dir = data_dir("shard_mismatch");
-    let mut config = ServerConfig::collaborative(u64::MAX);
-    config.shards = 8;
-    let (server, _) = open(config, &dir);
+    for (written, wrong) in [(8, 4), (8, 1), (1, 8)] {
+        let dir = data_dir(&format!("shard_mismatch_{written}_{wrong}"));
+        let (server, _) = open(config_for(written), &dir);
+        server.run_workload(workload("tail_one")).unwrap();
+        drop(server);
+
+        let err = OptimizerServer::open(config_for(wrong), DurabilityConfig::new(&dir))
+            .err()
+            .unwrap();
+        assert!(matches!(err, GraphError::InvalidStructure(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("sharded {written} way(s)"))
+                && msg.contains(&format!("configured for {wrong} shard(s)")),
+            "{msg}"
+        );
+    }
+}
+
+/// The retired single-journal layout (`eg.wal` / `eg.egsnap`) is
+/// refused with a typed error naming it — at every shard count, by the
+/// server and by the offline checker alike — instead of being ignored
+/// in favour of an empty graph.
+#[test]
+fn legacy_layout_directory_is_rejected_with_a_typed_error() {
+    for old in ["eg.wal", "eg.egsnap"] {
+        for shards in SHARD_COUNTS {
+            let dir = data_dir(&format!("legacy_layout_{shards}_{old}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(old), b"EGWAL 1\n").unwrap();
+            let err = OptimizerServer::open(config_for(shards), DurabilityConfig::new(&dir))
+                .err()
+                .unwrap();
+            assert!(matches!(err, GraphError::InvalidStructure(_)), "{err}");
+            assert!(err.to_string().contains(old), "{err}");
+            assert!(err.to_string().contains("retired"), "{err}");
+            let err = co_graph::fsck::check_data_dir(&dir, true).err().unwrap();
+            assert!(matches!(err, GraphError::InvalidStructure(_)), "{err}");
+        }
+    }
+}
+
+/// A fresh data directory holds exactly the one layout's files — at
+/// `shards = 1` too: `eg-0.wal`, `eg.commit`, and `eg-0.egsnap` once
+/// compacted (plus `cold/` when cold columns are on).
+#[test]
+fn fresh_directory_holds_only_the_one_layout() {
+    let ls = |dir: &PathBuf| -> BTreeSet<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect()
+    };
+    let names =
+        |names: &[&str]| -> BTreeSet<String> { names.iter().map(|n| (*n).to_owned()).collect() };
+    let dir = data_dir("fresh_layout");
+    let mut durability = DurabilityConfig::new(&dir);
+    durability.cold_columns = true;
+    let (server, _) = OptimizerServer::open(config_for(1), durability).unwrap();
     server.run_workload(workload("tail_one")).unwrap();
-    drop(server);
-
-    let mut wrong = config;
-    wrong.shards = 4;
-    let err = OptimizerServer::open(wrong, DurabilityConfig::new(&dir))
-        .err()
-        .unwrap();
-    assert!(err.to_string().contains("8"), "{err}");
-
-    wrong.shards = 1;
-    let err = OptimizerServer::open(wrong, DurabilityConfig::new(&dir))
-        .err()
-        .unwrap();
-    assert!(err.to_string().contains("sharded layout"), "{err}");
-
-    // And the reverse: a legacy directory opened with shards > 1.
-    let legacy_dir = data_dir("shard_mismatch_legacy");
-    let single = ServerConfig::collaborative(u64::MAX);
-    let (server, _) = open(single, &legacy_dir);
-    server.run_workload(workload("tail_one")).unwrap();
-    drop(server);
-    let err = OptimizerServer::open(config, DurabilityConfig::new(&legacy_dir))
-        .err()
-        .unwrap();
-    assert!(err.to_string().contains("single-graph layout"), "{err}");
+    assert_eq!(ls(&dir), names(&["cold", "eg-0.wal", "eg.commit"]));
+    server.compact().unwrap();
+    assert_eq!(
+        ls(&dir),
+        names(&["cold", "eg-0.egsnap", "eg-0.wal", "eg.commit"])
+    );
 }

@@ -14,7 +14,8 @@
 use co_core::{DurabilityConfig, DurabilityHealth, OptimizerServer, ServerConfig};
 use co_dataframe::{Column, ColumnData, DataFrame, Scalar};
 use co_graph::{
-    ArtifactId, FaultInjector, GraphError, IoFault, NodeKind, Operation, Value, WorkloadDag,
+    ArtifactId, FaultInjector, FsyncPolicy, GraphError, IoFault, NodeKind, Operation, Value,
+    WorkloadDag,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -101,10 +102,7 @@ fn open(config: ServerConfig, dir: &PathBuf) -> OptimizerServer {
 }
 
 fn assert_fsck_clean(dir: &std::path::Path) {
-    let report = match co_graph::fsck::detect_shard_layout(dir) {
-        Some(n) => co_graph::fsck::check_sharded_data_dir(dir, n, true).unwrap(),
-        None => co_graph::fsck::check_data_dir(dir, true).unwrap(),
-    };
+    let report = co_graph::fsck::check_data_dir(dir, true).unwrap();
     assert!(report.is_clean(), "data dir: {report}");
 }
 
@@ -162,6 +160,54 @@ fn failed_fsync_degrades_to_read_only_then_self_heals_without_restart() {
     let reopened = open(config, &dir);
     assert_eq!(fingerprint(&reopened), live);
     assert_fsck_clean(&dir);
+}
+
+/// `FsyncPolicy` governs *every* log of the data directory — the
+/// per-shard journals and the commit log alike. Under `Never` a publish
+/// touches no fsync at all, so a disk whose fsync fails forever goes
+/// unnoticed; under `Always` the very same fault degrades the first
+/// publish to read-only (the flush that makes data durable is still
+/// there). Regression: the commit log used to fsync unconditionally, so
+/// `Never` paid — and here failed on — one fsync per publish.
+#[test]
+fn every_log_obeys_the_fsync_policy() {
+    for shards in [8, 1] {
+        for policy in [FsyncPolicy::Never, FsyncPolicy::Always] {
+            let dir = data_dir(&format!("io_fsync_policy_{shards}_{policy:?}"));
+            let mut config = ServerConfig::collaborative(u64::MAX);
+            config.shards = shards;
+            let mut durability = DurabilityConfig::new(&dir);
+            durability.fsync = policy;
+            // `open` syncs each fresh log's magic regardless of policy,
+            // so the fault is armed only afterwards.
+            let (server, _) = OptimizerServer::open(config, durability.clone()).unwrap();
+            let faults = Arc::new(FaultInjector::new());
+            server.set_fault_injector(Arc::clone(&faults));
+            faults.arm_io_fault(IoFault::FsyncFail, usize::MAX);
+
+            if policy == FsyncPolicy::Always {
+                let err = server.run_workload(workload("tail_0")).unwrap_err();
+                assert!(matches!(err.error, GraphError::ReadOnly { .. }), "{err}");
+                assert_eq!(server.durability_health(), DurabilityHealth::ReadOnly);
+                assert!(faults.io_faults_fired() >= 1);
+                continue;
+            }
+            // 20 small publishes stay far below the compaction
+            // threshold (compaction syncs by design).
+            for i in 0..20 {
+                server.run_workload(workload(&format!("tail_{i}"))).unwrap();
+            }
+            assert_eq!(faults.io_faults_fired(), 0, "shards = {shards}");
+            assert_eq!(server.durability_health(), DurabilityHealth::Healthy);
+            assert_eq!(server.backlog_len(), 0);
+            let live = fingerprint(&server);
+            drop(server);
+            let (reopened, recovery) = OptimizerServer::open(config, durability).unwrap();
+            assert_eq!(recovery.committed_publishes, 20);
+            assert_eq!(fingerprint(&reopened), live);
+            assert_fsck_clean(&dir);
+        }
+    }
 }
 
 #[test]

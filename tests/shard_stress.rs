@@ -1,5 +1,5 @@
 //! Ordered-lock stress over the sharded Experiment Graph (DESIGN.md
-//! §14): many concurrent publishers whose workloads span pseudo-random
+//! §10): many concurrent publishers whose workloads span pseudo-random
 //! shard subsets must never deadlock — every publish acquires its
 //! touched shards' write locks in ascending index order, so circular
 //! waits are impossible by construction — and after a crash (injected

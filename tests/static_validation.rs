@@ -13,6 +13,7 @@ use co_dataframe::ops::{AggFn, Predicate};
 use co_dataframe::{Column, ColumnData, DataFrame};
 use co_graph::fsck::{self, FsckCode};
 use co_graph::meta::MetaCode;
+use co_graph::shard::{shard_journal_file, shard_snapshot_file, COMMIT_FILE};
 use co_graph::{ArtifactId, NodeId, NodeKind, Operation, Value, WorkloadDag};
 use co_ml::feature::ScaleKind;
 use co_ml::linear::LogisticParams;
@@ -354,32 +355,57 @@ fn fsck_catches_each_seeded_graph_corruption() {
     }
 }
 
+/// `check_data_dir` needs no shard count: it detects the layout's N
+/// (1 and 8 alike) and checks the committed-prefix recovery of it.
 #[test]
-fn fsck_checks_a_durability_directory() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fsck_data_dir");
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = ServerConfig::collaborative(u64::MAX);
-    let (server, _) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
-    server.run_workload(real_workload()).unwrap();
-    server.compact().unwrap();
-    server.run_workload(real_workload()).unwrap();
-    drop(server);
+fn check_data_dir_auto_detects_the_shard_count() {
+    for shards in [1, 8] {
+        let dir =
+            PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("fsck_data_dir_{shards}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = ServerConfig::collaborative(u64::MAX);
+        config.shards = shards;
+        let (server, _) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
+        server.run_workload(real_workload()).unwrap();
+        server.compact().unwrap();
+        server.run_workload(real_workload()).unwrap();
+        drop(server);
 
-    // Snapshot + journal replay to a clean graph.
-    let report = fsck::check_data_dir(&dir, true).unwrap();
-    assert!(report.is_clean(), "{report}");
-    assert!(report.vertices >= 4);
+        // One layout at every shard count: N journals, N snapshots (after
+        // the compaction), one commit log — nothing else.
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        let mut expected: Vec<String> = (0..shards)
+            .flat_map(|k| [shard_journal_file(k), shard_snapshot_file(k)])
+            .chain([COMMIT_FILE.to_owned()])
+            .collect();
+        expected.sort();
+        assert_eq!(files, expected);
+        assert_eq!(fsck::detect_shard_layout(&dir), Some(shards));
 
-    // A torn journal tail is reported as a note, not a violation, and
-    // the file is left untouched (offline check is read-only).
-    let wal = dir.join(fsck::JOURNAL_FILE);
-    let len_before = std::fs::metadata(&wal).unwrap().len();
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
-    f.write_all(b"EGD 99 torn").unwrap();
-    drop(f);
-    let report = fsck::check_data_dir(&dir, true).unwrap();
-    assert!(report.is_clean(), "{report}");
-    assert!(report.notes.iter().any(|n| n.contains("torn")), "{report}");
-    assert!(std::fs::metadata(&wal).unwrap().len() > len_before);
+        // Snapshots + committed-prefix journal replay give a clean graph,
+        // and the count-free entry point agrees with the explicit one.
+        let report = fsck::check_data_dir(&dir, true).unwrap();
+        assert!(report.is_clean(), "{report}");
+        assert!(report.vertices >= 4);
+        let explicit = fsck::check_sharded_data_dir(&dir, shards, true).unwrap();
+        assert_eq!(report.vertices, explicit.vertices);
+        assert_eq!(report.notes, explicit.notes);
+
+        // A torn journal tail is reported as a note, not a violation, and
+        // the file is left untouched (offline check is read-only).
+        let wal = dir.join(shard_journal_file(0));
+        let len_before = std::fs::metadata(&wal).unwrap().len();
+        use std::io::Write as _;
+        let mut f = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
+        f.write_all(b"EGD 99 torn").unwrap();
+        drop(f);
+        let report = fsck::check_data_dir(&dir, true).unwrap();
+        assert!(report.is_clean(), "{report}");
+        assert!(report.notes.iter().any(|n| n.contains("torn")), "{report}");
+        assert!(std::fs::metadata(&wal).unwrap().len() > len_before);
+    }
 }
