@@ -49,15 +49,6 @@ pub fn write_tsv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("  -> wrote {}", path.display());
 }
 
-/// Write a JSON file under [`out_dir`] and echo its path. The harness
-/// emits `BENCH_*.json` files so successive revisions can track
-/// performance trajectories.
-pub fn write_json(name: &str, text: &str) {
-    let path = out_dir().join(name);
-    fs::write(&path, text).expect("can write JSON");
-    println!("  -> wrote {}", path.display());
-}
-
 /// True when `--full` was passed (paper-scale run counts).
 #[must_use]
 pub fn full_scale() -> bool {

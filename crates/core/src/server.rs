@@ -30,7 +30,7 @@ use co_graph::journal::{
 };
 use co_graph::shard::{self, ShardedEg};
 use co_graph::{
-    snapshot, ArtifactId, ColdStore, CommitLog, CommitRecord, CrashPoint, EgView, ExperimentGraph,
+    snapshot, ArtifactId, ColdStore, CommitLog, CommitRecord, EgView, ExperimentGraph,
     FaultInjector, GraphError, OpHash, OpRef, Result, ScrubOutcome, ShardWriteGuard, Value,
     WorkloadDag,
 };
@@ -275,15 +275,6 @@ impl DurabilityHealth {
             _ => DurabilityHealth::Wedged,
         }
     }
-}
-
-/// Whether a persist error is an injected *crash* (the crash-matrix
-/// tests' "process died here" simulation) rather than a live I/O
-/// failure. A simulated crash wedges immediately — the process is
-/// notionally gone, so in-place repair would be cheating — while every
-/// real or injected I/O failure takes the ReadOnly + repair path.
-fn is_simulated_crash(e: &GraphError) -> bool {
-    matches!(e, GraphError::Io(msg) if msg.contains("injected crash at"))
 }
 
 /// One publish awaiting re-append: its per-shard deltas (ascending
@@ -652,7 +643,7 @@ impl OptimizerServer {
         // save never touches the live snapshots or journals, so these
         // are safe to discard.
         let mut recovery = RecoveryReport {
-            stray_tmp_removed: remove_stray_tmps(dir),
+            stray_tmp_removed: remove_stray_tmps(dir, None),
             ..RecoveryReport::default()
         };
 
@@ -1198,35 +1189,11 @@ impl OptimizerServer {
             return Err(dur.defer(pending, record, quarantine_target));
         }
 
-        let mut append_error: Option<GraphError> = None;
-        for (i, (k, delta)) in pending.iter().enumerate() {
-            if i > 0 {
-                if let Some(f) = &faults {
-                    if f.take_crash(CrashPoint::ShardGapAppend) {
-                        dur.set_health(DurabilityHealth::Wedged);
-                        return Err(GraphError::Io(
-                            "injected crash at shard-gap-append (between per-shard \
-                             journal appends)"
-                                .to_owned(),
-                        ));
-                    }
-                }
-            }
-            if let Err(e) = dur.journals[*k].lock().append(delta, faults.as_deref()) {
-                append_error = Some(e);
-                break;
-            }
-        }
-        let commit_error = if append_error.is_none() {
-            dur.commit.lock().append(&record, faults.as_deref()).err()
-        } else {
-            None
-        };
-        if let Some(e) = append_error.or(commit_error) {
-            if is_simulated_crash(&e) {
-                dur.set_health(DurabilityHealth::Wedged);
-                return Err(e);
-            }
+        let appended = pending
+            .iter()
+            .try_for_each(|(k, delta)| dur.journals[*k].lock().append(delta, faults.as_deref()))
+            .and_then(|()| dur.commit.lock().append(&record, faults.as_deref()));
+        if appended.is_err() {
             persisted.take();
             return Err(dur.defer(pending, record, quarantine_target));
         }
@@ -1311,7 +1278,7 @@ impl OptimizerServer {
 
     /// Whether durability is wedged — the terminal state after
     /// [`DurabilityConfig::max_repair_attempts`] consecutive failed
-    /// repairs (or a simulated crash): every further persist refuses
+    /// repairs: every further persist refuses
     /// until the server restarts from its data directory.
     #[must_use]
     pub fn is_wedged(&self) -> bool {
@@ -1692,20 +1659,15 @@ impl OptimizerServer {
             ..EgDelta::default()
         };
         let record = CommitRecord::new(seq, [k]);
-        if dur.health() == DurabilityHealth::ReadOnly {
+        // A read-only layer queues the record without touching the logs.
+        let appended = dur.health() == DurabilityHealth::Healthy
+            && dur.journals[k]
+                .lock()
+                .append(&delta, faults.as_deref())
+                .and_then(|()| dur.commit.lock().append(&record, faults.as_deref()))
+                .is_ok();
+        if !appended {
             let _ = dur.defer(vec![(k, delta)], record, None);
-            return bytes;
-        }
-        let append = dur.journals[k]
-            .lock()
-            .append(&delta, faults.as_deref())
-            .and_then(|()| dur.commit.lock().append(&record, faults.as_deref()));
-        if let Err(e) = append {
-            if is_simulated_crash(&e) {
-                dur.set_health(DurabilityHealth::Wedged);
-            } else {
-                let _ = dur.defer(vec![(k, delta)], record, None);
-            }
         }
         bytes
     }
@@ -1747,7 +1709,7 @@ fn finish_publish(
         }) => {
             // When both the workload and persistence failed, the
             // workload's own error wins; the persist failure is
-            // still visible through the wedged durability state.
+            // still visible through the read-only durability state.
             report.salvaged_artifacts = completed.len();
             Err(WorkloadError {
                 error,
@@ -1763,15 +1725,15 @@ fn finish_publish(
 /// snapshot saves) from a data directory; returns how many it removed.
 /// Losing the sweep to an I/O error is harmless — recovery ignores temp
 /// files anyway.
-fn remove_stray_tmps(dir: &Path) -> usize {
-    let Ok(entries) = co_graph::vfs::read_dir_sorted(dir, None) else {
+fn remove_stray_tmps(dir: &Path, faults: Option<&FaultInjector>) -> usize {
+    let Ok(entries) = co_graph::vfs::read_dir_sorted(dir, faults) else {
         return 0;
     };
     entries
         .iter()
         .filter(|path| {
             path.to_string_lossy().ends_with(".tmp")
-                && co_graph::vfs::remove_file(path, None).is_ok()
+                && co_graph::vfs::remove_file(path, faults).is_ok()
         })
         .count()
 }
@@ -1793,7 +1755,7 @@ fn repair_logs(
     faults: Option<&FaultInjector>,
 ) -> Result<()> {
     let dir = &dur.config.dir;
-    remove_stray_tmps(dir);
+    remove_stray_tmps(dir, faults);
     for (k, slot) in dur.journals.iter().enumerate() {
         let path = dir.join(shard::shard_journal_file(k));
         *slot.lock() = reopen_log(&path, dur.config.fsync, faults)?;

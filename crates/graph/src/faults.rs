@@ -10,10 +10,15 @@
 //!   transiently or permanently for a bounded number of runs, or panics;
 //! * **latency** — an operation's run is delayed by a fixed duration
 //!   (to exercise deadlines);
-//! * **crash points** — the durability layer (`crate::journal`,
-//!   `crate::snapshot`) consults named [`CrashPoint`]s and aborts the
-//!   current persistence step exactly as a process crash at that point
-//!   would leave the files on disk (torn record, orphaned temp file).
+//! * **I/O faults** — an [`IoFault`] armed for a number of firings makes
+//!   the matching [`crate::vfs`] call fail as a sick disk would, while
+//!   the process lives on;
+//! * **crash cuts** — [`FaultInjector::crash_at`] kills the process at
+//!   the `op`-th [`crate::vfs`] call made through the injector: a
+//!   `write_all` cut there persists the first half of its buffer (a torn
+//!   record), any other cut call persists nothing, and that call and
+//!   every later one fail. The durability code never learns that a crash
+//!   happened; it sees failing I/O, exactly as it would on a real disk.
 //!
 //! All state is interior-mutable and thread-safe, so one injector can
 //! drive faults through a shared server from concurrent sessions. All
@@ -21,8 +26,9 @@
 
 use crate::error::{GraphError, Result};
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// How an injected operation fault manifests.
@@ -36,66 +42,10 @@ pub enum FaultKind {
     Panic,
 }
 
-/// A named point inside the durability code path where an injected
-/// "crash" can fire. Each simulates the on-disk state a real process
-/// death at that instant would leave behind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CrashPoint {
-    /// Die after writing roughly half of the snapshot temp file.
-    SnapshotMidWrite,
-    /// Die after writing the temp file but before fsyncing it.
-    SnapshotPreFsync,
-    /// Die after fsyncing the temp file but before the atomic rename.
-    SnapshotPreRename,
-    /// Die after writing roughly half of a journal record's frame.
-    JournalMidAppend,
-    /// Die before the journal record reaches the disk at all — the
-    /// worst case of an unsynced write (the whole record is lost).
-    JournalPreFsync,
-    /// Sharded publish: die in the gap between two per-shard journal
-    /// appends of one cross-shard publish — some shards hold the
-    /// publish's record, others never receive theirs.
-    ShardGapAppend,
-    /// Sharded publish: die after every per-shard journal append but
-    /// before the cross-shard commit record is written — the publish
-    /// must be invisible after recovery.
-    CommitPreAppend,
-}
-
-impl CrashPoint {
-    /// Stable name, used in error messages and the crash-matrix test.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            CrashPoint::SnapshotMidWrite => "snapshot-mid-write",
-            CrashPoint::SnapshotPreFsync => "snapshot-pre-fsync",
-            CrashPoint::SnapshotPreRename => "snapshot-pre-rename",
-            CrashPoint::JournalMidAppend => "journal-mid-append",
-            CrashPoint::JournalPreFsync => "journal-pre-fsync",
-            CrashPoint::ShardGapAppend => "shard-gap-append",
-            CrashPoint::CommitPreAppend => "commit-pre-append",
-        }
-    }
-
-    /// Every crash point, for exhaustive crash-matrix tests.
-    #[must_use]
-    pub fn all() -> [CrashPoint; 7] {
-        [
-            CrashPoint::SnapshotMidWrite,
-            CrashPoint::SnapshotPreFsync,
-            CrashPoint::SnapshotPreRename,
-            CrashPoint::JournalMidAppend,
-            CrashPoint::JournalPreFsync,
-            CrashPoint::ShardGapAppend,
-            CrashPoint::CommitPreAppend,
-        ]
-    }
-}
-
 /// A named point in a *network* code path (the `co-serve` front-end)
-/// where an injected connection-level fault can fire. Unlike
-/// [`CrashPoint`]s, which simulate process death during a persistence
-/// step, these simulate the peer or the network dying: the process
+/// where an injected connection-level fault can fire. Unlike crash
+/// cuts, which simulate process death during a persistence step, these
+/// simulate the peer or the network dying: the process
 /// survives, the connection does not — so they prove that a killed
 /// connection can never corrupt the shared Experiment Graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,7 +90,7 @@ impl NetFault {
 
 /// A storage I/O failure the [`crate::vfs`] layer can inject into any
 /// durability file operation (journal append, snapshot write, commit
-/// log, cold column files). Unlike [`CrashPoint`]s, the process
+/// log, cold column files). Unlike a crash cut, the process
 /// survives: the *operation* fails, exactly as a full disk or a flaky
 /// device would make it fail, and the caller must degrade gracefully.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -196,6 +146,90 @@ struct OpFault {
     remaining: usize,
 }
 
+/// Remaining firings per armed fault (`usize::MAX` = forever) plus a
+/// count of firings so far — the one countdown behind both the network
+/// and the I/O fault schedules.
+#[derive(Debug)]
+struct Countdown<K> {
+    remaining: Mutex<HashMap<K, usize>>,
+    fired: AtomicUsize,
+}
+
+impl<K> Default for Countdown<K> {
+    fn default() -> Self {
+        Countdown {
+            remaining: Mutex::new(HashMap::new()),
+            fired: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash> Countdown<K> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, usize>> {
+        self.remaining
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn arm(&self, fault: K, times: usize) {
+        let mut faults = self.lock();
+        if times == 0 {
+            faults.remove(&fault);
+        } else {
+            faults.insert(fault, times);
+        }
+    }
+
+    fn take(&self, fault: K) -> bool {
+        let fired = {
+            let mut faults = self.lock();
+            match faults.get(&fault).copied() {
+                None => false,
+                Some(usize::MAX) => true,
+                Some(1) => {
+                    faults.remove(&fault);
+                    true
+                }
+                Some(remaining) => {
+                    faults.insert(fault, remaining - 1);
+                    true
+                }
+            }
+        };
+        if fired {
+            self.fired.fetch_add(1, Ordering::SeqCst);
+        }
+        fired
+    }
+
+    fn clear(&self) {
+        self.lock().clear();
+    }
+
+    fn fired(&self) -> usize {
+        self.fired.load(Ordering::SeqCst)
+    }
+}
+
+/// Where one [`crate::vfs`] call stands against the crash schedule
+/// ([`FaultInjector::crash_at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IoCut {
+    /// No cut is armed, or it lies ahead: the call runs.
+    Alive,
+    /// This call is the cut: the process dies inside it.
+    Now,
+    /// The process died at an earlier call: nothing reaches the disk.
+    Dead,
+}
+
+/// The armed crash cut and the vfs calls counted since it was armed.
+#[derive(Debug, Default)]
+struct CrashCut {
+    at: Option<usize>,
+    ops: usize,
+}
+
 /// Deterministic fault schedule. See the module docs.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
@@ -204,14 +238,9 @@ pub struct FaultInjector {
     fail_loads: Mutex<HashSet<usize>>,
     op_faults: Mutex<HashMap<String, OpFault>>,
     op_latency: Mutex<HashMap<String, Duration>>,
-    crash_points: Mutex<HashSet<CrashPoint>>,
-    crashes_fired: AtomicUsize,
-    /// Remaining firings per network fault point; `usize::MAX` = forever.
-    net_faults: Mutex<HashMap<NetFault, usize>>,
-    net_faults_fired: AtomicUsize,
-    /// Remaining firings per I/O fault; `usize::MAX` = forever.
-    io_faults: Mutex<HashMap<IoFault, usize>>,
-    io_faults_fired: AtomicUsize,
+    crash: Mutex<CrashCut>,
+    net_faults: Countdown<NetFault>,
+    io_faults: Countdown<IoFault>,
     /// Stall applied when [`NetFault::StalledWrite`] fires, in
     /// milliseconds (atomically adjustable mid-test).
     net_stall_ms: AtomicUsize,
@@ -318,138 +347,81 @@ impl FaultInjector {
         }
     }
 
-    /// Arm a crash point: the next persistence step reaching `point`
-    /// "crashes" (one-shot — the point disarms when it fires, so the
-    /// recovery that follows runs cleanly).
-    pub fn arm_crash(&self, point: CrashPoint) {
-        self.crash_points
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(point);
+    /// Arm a crash cut: counting every [`crate::vfs`] call made through
+    /// this injector from now on (0-based), the `op`-th call is where
+    /// the process dies — see the module docs. Replaces any earlier
+    /// cut and restarts the count.
+    pub fn crash_at(&self, op: usize) {
+        *self.crash.lock().unwrap_or_else(PoisonError::into_inner) = CrashCut {
+            at: Some(op),
+            ops: 0,
+        };
     }
 
-    /// Durability hook: consume `point` if armed. Returns whether the
-    /// caller should simulate a crash here.
-    pub fn take_crash(&self, point: CrashPoint) -> bool {
-        let fired = self
-            .crash_points
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&point);
-        if fired {
-            self.crashes_fired.fetch_add(1, Ordering::SeqCst);
-        }
-        fired
-    }
-
-    /// Crash points fired so far.
+    /// Whether the armed crash cut has fired: the process is dead and
+    /// every vfs call through this injector fails.
     #[must_use]
-    pub fn crashes_fired(&self) -> usize {
-        self.crashes_fired.load(Ordering::SeqCst)
+    pub fn crashed(&self) -> bool {
+        let cut = self.crash.lock().unwrap_or_else(PoisonError::into_inner);
+        cut.at.is_some_and(|at| cut.ops > at)
+    }
+
+    /// Vfs hook: count one call against the crash schedule.
+    pub(crate) fn on_io_op(&self) -> IoCut {
+        let mut cut = self.crash.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(at) = cut.at else {
+            return IoCut::Alive;
+        };
+        let op = cut.ops;
+        cut.ops = op.saturating_add(1);
+        match op.cmp(&at) {
+            std::cmp::Ordering::Less => IoCut::Alive,
+            std::cmp::Ordering::Equal => IoCut::Now,
+            std::cmp::Ordering::Greater => IoCut::Dead,
+        }
     }
 
     /// Arm a network fault point for the next `times` consultations
     /// (`usize::MAX` = forever). Replaces any previous schedule for
     /// `fault`; `times == 0` disarms it.
     pub fn arm_net_fault(&self, fault: NetFault, times: usize) {
-        let mut faults = self
-            .net_faults
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if times == 0 {
-            faults.remove(&fault);
-        } else {
-            faults.insert(fault, times);
-        }
+        self.net_faults.arm(fault, times);
     }
 
     /// Serve-layer hook: consume one firing of `fault` if armed.
     /// Returns whether the caller should simulate the fault here.
     pub fn take_net_fault(&self, fault: NetFault) -> bool {
-        let fired = {
-            let mut faults = self
-                .net_faults
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match faults.get_mut(&fault) {
-                Some(remaining) if *remaining > 0 => {
-                    if *remaining != usize::MAX {
-                        *remaining -= 1;
-                        if *remaining == 0 {
-                            faults.remove(&fault);
-                        }
-                    }
-                    true
-                }
-                _ => false,
-            }
-        };
-        if fired {
-            self.net_faults_fired.fetch_add(1, Ordering::SeqCst);
-        }
-        fired
+        self.net_faults.take(fault)
     }
 
     /// Network fault points fired so far.
     #[must_use]
     pub fn net_faults_fired(&self) -> usize {
-        self.net_faults_fired.load(Ordering::SeqCst)
+        self.net_faults.fired()
     }
 
     /// Arm an I/O fault for the next `times` consultations
     /// (`usize::MAX` = forever). Replaces any previous schedule for
     /// `fault`; `times == 0` disarms it.
     pub fn arm_io_fault(&self, fault: IoFault, times: usize) {
-        let mut faults = self
-            .io_faults
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if times == 0 {
-            faults.remove(&fault);
-        } else {
-            faults.insert(fault, times);
-        }
+        self.io_faults.arm(fault, times);
     }
 
     /// Vfs hook: consume one firing of `fault` if armed. Returns
     /// whether the caller should simulate the fault here.
     pub fn take_io_fault(&self, fault: IoFault) -> bool {
-        let fired = {
-            let mut faults = self
-                .io_faults
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match faults.get_mut(&fault) {
-                Some(remaining) if *remaining > 0 => {
-                    if *remaining != usize::MAX {
-                        *remaining -= 1;
-                        if *remaining == 0 {
-                            faults.remove(&fault);
-                        }
-                    }
-                    true
-                }
-                _ => false,
-            }
-        };
-        if fired {
-            self.io_faults_fired.fetch_add(1, Ordering::SeqCst);
-        }
-        fired
+        self.io_faults.take(fault)
     }
 
     /// Disarm every I/O fault at once — "the disk came back".
     pub fn clear_io_faults(&self) {
-        self.io_faults
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        self.io_faults.clear();
     }
 
     /// I/O faults fired so far.
     #[must_use]
     pub fn io_faults_fired(&self) -> usize {
-        self.io_faults_fired.load(Ordering::SeqCst)
+        self.io_faults.fired()
     }
 
     /// Configure the stall applied when [`NetFault::StalledWrite`] fires.
@@ -530,19 +502,19 @@ mod tests {
     }
 
     #[test]
-    fn crash_points_are_one_shot() {
+    fn crash_cut_counts_calls_and_kills_every_later_one() {
         let f = FaultInjector::new();
-        assert!(!f.take_crash(CrashPoint::SnapshotPreRename));
-        f.arm_crash(CrashPoint::SnapshotPreRename);
-        f.arm_crash(CrashPoint::JournalMidAppend);
-        assert!(f.take_crash(CrashPoint::SnapshotPreRename));
-        assert!(!f.take_crash(CrashPoint::SnapshotPreRename), "consumed");
-        assert!(f.take_crash(CrashPoint::JournalMidAppend));
-        assert_eq!(f.crashes_fired(), 2);
-        assert_eq!(CrashPoint::all().len(), 7);
-        for p in CrashPoint::all() {
-            assert!(!p.name().is_empty());
-        }
+        assert_eq!(f.on_io_op(), IoCut::Alive, "no cut armed");
+        f.crash_at(2);
+        assert_eq!(f.on_io_op(), IoCut::Alive);
+        assert_eq!(f.on_io_op(), IoCut::Alive);
+        assert!(!f.crashed());
+        assert_eq!(f.on_io_op(), IoCut::Now);
+        assert!(f.crashed());
+        assert_eq!(f.on_io_op(), IoCut::Dead);
+        f.crash_at(0); // re-arming restarts the count
+        assert!(!f.crashed());
+        assert_eq!(f.on_io_op(), IoCut::Now);
     }
 
     #[test]

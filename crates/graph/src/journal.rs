@@ -21,8 +21,7 @@
 //!
 //! with a UTF-8 text payload. Open, append, fsync policy, torn-tail
 //! replay, reset and damage tracking exist once; the payload type
-//! ([`LogRecord`]) supplies the magic, the text encoding and its crash
-//! points.
+//! ([`LogRecord`]) supplies the magic and the text encoding.
 //!
 //! ### Journal payload (`EGWAL 1`, `eg-<k>.wal`): [`EgDelta`]
 //!
@@ -58,7 +57,7 @@
 use crate::artifact::ArtifactId;
 use crate::error::{GraphError, Result};
 use crate::experiment::{EgVertex, ExperimentGraph};
-use crate::faults::{CrashPoint, FaultInjector};
+use crate::faults::FaultInjector;
 use crate::snapshot::{escape, parse_vertex_fields, unescape, vertex_fields, ParseCtx};
 use crate::vfs::{self, VfsFile};
 use std::fmt::Write as _;
@@ -231,8 +230,6 @@ impl EgDelta {
 impl LogRecord for EgDelta {
     const MAGIC: &'static [u8; MAGIC_LEN] = WAL_MAGIC;
     const LOG_NAME: &'static str = "journal";
-    const CRASH_BEFORE_WRITE: CrashPoint = CrashPoint::JournalPreFsync;
-    const CRASH_MID_WRITE: Option<CrashPoint> = Some(CrashPoint::JournalMidAppend);
 
     fn encode(&self) -> String {
         let mut out = String::new();
@@ -345,14 +342,6 @@ fn io_err(what: &str, log: &str, path: &Path, e: &std::io::Error) -> GraphError 
     GraphError::Io(format!("cannot {what} {log} {}: {e}", path.display()))
 }
 
-pub(crate) fn crash_err(point: CrashPoint) -> GraphError {
-    GraphError::Io(format!("injected crash at {}", point.name()))
-}
-
-pub(crate) fn should_crash(faults: Option<&FaultInjector>, point: CrashPoint) -> bool {
-    faults.is_some_and(|f| f.take_crash(point))
-}
-
 /// Length of every log's magic.
 const MAGIC_LEN: usize = 8;
 
@@ -365,11 +354,6 @@ pub trait LogRecord: Sized {
     const MAGIC: &'static [u8; MAGIC_LEN];
     /// What error messages call the file.
     const LOG_NAME: &'static str;
-    /// Crash point fired before any byte of a record is written — the
-    /// record is lost whole.
-    const CRASH_BEFORE_WRITE: CrashPoint;
-    /// Crash point that leaves a torn record on disk, if the log has one.
-    const CRASH_MID_WRITE: Option<CrashPoint>;
 
     /// Serialise the record to its payload text.
     fn encode(&self) -> String;
@@ -475,13 +459,9 @@ impl<R: LogRecord> FramedLog<R> {
     }
 
     /// Append one record as a length-prefixed, CRC-checksummed frame,
-    /// honouring the fsync policy. With a fault injector armed, the
-    /// record type's crash points fire here: the before-write point
-    /// models the worst case of an unsynced write — the record never
-    /// reaches the disk at all; the mid-write point leaves a torn record
-    /// on disk (for recovery to detect and truncate). Injected
-    /// [`crate::faults::IoFault`]s fire inside the vfs write/sync calls;
-    /// any failure marks the log damaged.
+    /// honouring the fsync policy. Injected faults — I/O faults and
+    /// crash cuts alike — fire inside the vfs write/sync calls; any
+    /// failure marks the log damaged.
     pub fn append(&mut self, record: &R, faults: Option<&FaultInjector>) -> Result<()> {
         if self.is_damaged() {
             return Err(GraphError::Io(format!(
@@ -489,9 +469,6 @@ impl<R: LogRecord> FramedLog<R> {
                 R::LOG_NAME,
                 self.path.display()
             )));
-        }
-        if should_crash(faults, R::CRASH_BEFORE_WRITE) {
-            return Err(crash_err(R::CRASH_BEFORE_WRITE));
         }
         let payload = record.encode();
         let bytes = payload.as_bytes();
@@ -506,16 +483,6 @@ impl<R: LogRecord> FramedLog<R> {
         frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(&crc32(bytes).to_le_bytes());
         frame.extend_from_slice(bytes);
-        if let Some(point) = R::CRASH_MID_WRITE {
-            if should_crash(faults, point) {
-                let torn = &frame[..8 + bytes.len() / 2];
-                let _ = self.file.write_all(torn, None);
-                let _ = self.file.sync(None);
-                self.len += torn.len() as u64;
-                self.damaged = true;
-                return Err(crash_err(point));
-            }
-        }
         if let Err(e) = self.file.write_all(&frame, faults) {
             return Err(self.fail("append to", &e));
         }
@@ -664,9 +631,6 @@ impl CommitRecord {
 impl LogRecord for CommitRecord {
     const MAGIC: &'static [u8; MAGIC_LEN] = COMMIT_MAGIC;
     const LOG_NAME: &'static str = "commit log";
-    /// The record is never written: the publish stays uncommitted.
-    const CRASH_BEFORE_WRITE: CrashPoint = CrashPoint::CommitPreAppend;
-    const CRASH_MID_WRITE: Option<CrashPoint> = None;
 
     fn encode(&self) -> String {
         let shards: Vec<String> = self.shards.iter().map(|s| format!("{s:x}")).collect();
@@ -930,21 +894,26 @@ mod tests {
         fs::remove_file(&path).ok();
     }
 
+    /// A crash cut on a commit append's write leaves a torn record —
+    /// the publish is uncommitted — and on its fsync a whole one.
     #[test]
-    fn commit_pre_append_crash_leaves_log_untouched() {
+    fn crash_cut_on_commit_append_tears_or_keeps_the_record() {
         let path = std::env::temp_dir().join("co_graph_journal_commit_crash.commit");
-        let _ = fs::remove_file(&path);
-        let mut log = CommitLog::open(&path, FsyncPolicy::Always).unwrap();
-        let faults = FaultInjector::new();
-        faults.arm_crash(CrashPoint::CommitPreAppend);
         let rec = CommitRecord {
             seq: 9,
             shards: vec![1],
         };
-        assert!(log.append(&rec, Some(&faults)).is_err());
-        assert!(replay::<CommitRecord>(&path).unwrap().records.is_empty());
-        log.append(&rec, Some(&faults)).unwrap(); // one-shot
-        assert_eq!(replay::<CommitRecord>(&path).unwrap().records.len(), 1);
+        for (cut, committed) in [(0, 0), (1, 1)] {
+            let _ = fs::remove_file(&path);
+            let mut log = CommitLog::open(&path, FsyncPolicy::Always).unwrap();
+            let faults = FaultInjector::new();
+            faults.crash_at(cut);
+            assert!(log.append(&rec, Some(&faults)).is_err());
+            assert!(faults.crashed() && log.is_damaged());
+            let outcome = replay::<CommitRecord>(&path).unwrap();
+            assert_eq!(outcome.records.len(), committed, "cut {cut}");
+            assert_eq!(outcome.torn_at.is_some(), committed == 0, "cut {cut}");
+        }
         fs::remove_file(&path).ok();
     }
 

@@ -44,7 +44,7 @@ pub use artifact::{ArtifactId, ArtifactMeta, NodeKind};
 pub use cold::{ColdStore, ScrubOutcome};
 pub use error::{GraphError, Result};
 pub use experiment::{EgVertex, ExperimentGraph};
-pub use faults::{CrashPoint, FaultInjector, FaultKind, IoFault, NetFault};
+pub use faults::{FaultInjector, FaultKind, IoFault, NetFault};
 pub use fsck::{FsckCode, FsckReport, Violation};
 pub use journal::{CommitLog, CommitRecord, EgDelta, FsyncPolicy, Journal, QuarantineEntry};
 pub use meta::{DatasetMeta, MetaCode, MetaError, MetaResult, ModelMeta, ValueMeta};

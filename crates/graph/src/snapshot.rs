@@ -42,8 +42,8 @@
 use crate::artifact::{ArtifactId, NodeKind};
 use crate::error::{GraphError, Result};
 use crate::experiment::{EgVertex, ExperimentGraph};
-use crate::faults::{CrashPoint, FaultInjector};
-use crate::journal::{crash_err, crc32, should_crash, QuarantineEntry};
+use crate::faults::FaultInjector;
+use crate::journal::{crc32, QuarantineEntry};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -417,8 +417,7 @@ pub fn from_shard_snapshot(text: &str, dedup: bool, origin: &str) -> Result<Rest
 /// disk atomically: the full contents go to `<path>.tmp`, which is
 /// fsynced and then renamed over `path`, so a crash at any point leaves
 /// either the old complete snapshot or the new complete snapshot —
-/// never a torn mix. With a fault injector armed, the snapshot
-/// [`CrashPoint`]s fire here.
+/// never a torn mix.
 pub fn save_shard_with(
     eg: &ExperimentGraph,
     quarantine: &[QuarantineEntry],
@@ -465,20 +464,9 @@ fn write_atomic(text: &str, path: &Path, faults: Option<&FaultInjector>) -> Resu
     {
         let mut file =
             crate::vfs::VfsFile::create(&tmp, faults).map_err(|e| io_err("create", &tmp, &e))?;
-        if should_crash(faults, CrashPoint::SnapshotMidWrite) {
-            let _ = file.write_all(&bytes[..bytes.len() / 2], None);
-            let _ = file.sync(None);
-            return Err(crash_err(CrashPoint::SnapshotMidWrite));
-        }
         file.write_all(bytes, faults)
             .map_err(|e| io_err("write", &tmp, &e))?;
-        if should_crash(faults, CrashPoint::SnapshotPreFsync) {
-            return Err(crash_err(CrashPoint::SnapshotPreFsync));
-        }
         file.sync(faults).map_err(|e| io_err("sync", &tmp, &e))?;
-    }
-    if should_crash(faults, CrashPoint::SnapshotPreRename) {
-        return Err(crash_err(CrashPoint::SnapshotPreRename));
     }
     crate::vfs::rename(&tmp, path, faults).map_err(|e| io_err("rename", path, &e))?;
     // Make the rename itself durable.

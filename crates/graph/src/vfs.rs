@@ -19,12 +19,22 @@
 //! down the re-open + re-append repair path instead of the fatal
 //! "retry and assume persisted" one.
 //!
+//! ## Crash cuts
+//!
+//! Every call here that takes a fault injector first counts itself
+//! against the injector's crash schedule ([`FaultInjector::crash_at`]).
+//! The cut call is where the process dies: a [`VfsFile::write_all`]
+//! there persists the first half of its buffer — the torn record a real
+//! crash mid-write leaves — and any other call persists nothing. From
+//! the cut on, every call fails, so a dead process changes no file
+//! name and no byte. Nothing above this module knows crashes exist.
+//!
 //! All functions return [`std::io::Result`] so callers keep their
 //! existing `GraphError::Io` mapping; injected faults are ordinary
 //! [`std::io::Error`]s whose messages carry an `injected` marker plus
 //! the fault name.
 
-use crate::faults::{FaultInjector, IoFault};
+use crate::faults::{FaultInjector, IoCut, IoFault};
 use std::fs;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -52,6 +62,23 @@ fn fires(faults: Option<&FaultInjector>, fault: IoFault) -> bool {
     faults.is_some_and(|f| f.take_io_fault(fault))
 }
 
+/// Count this call against the crash schedule (see the module docs).
+fn cut(faults: Option<&FaultInjector>) -> IoCut {
+    faults.map_or(IoCut::Alive, FaultInjector::on_io_op)
+}
+
+fn dead() -> io::Error {
+    io::Error::other("injected crash cut: the process is dead")
+}
+
+/// Fail the call if the process died here or earlier.
+fn alive(faults: Option<&FaultInjector>) -> io::Result<()> {
+    match cut(faults) {
+        IoCut::Alive => Ok(()),
+        IoCut::Now | IoCut::Dead => Err(dead()),
+    }
+}
+
 /// An open durability file. Wraps [`fs::File`] and consults the fault
 /// injector on every write-side operation; carries the fsyncgate
 /// poison bit (see the module docs).
@@ -65,6 +92,7 @@ pub struct VfsFile {
 impl VfsFile {
     /// Open (or create) a file for appending, positioned at its end.
     pub fn open_append(path: &Path, faults: Option<&FaultInjector>) -> io::Result<VfsFile> {
+        alive(faults)?;
         if fires(faults, IoFault::WriteErr) {
             return Err(injected(IoFault::WriteErr));
         }
@@ -82,6 +110,7 @@ impl VfsFile {
 
     /// Create (truncating) a file for writing — the snapshot temp file.
     pub fn create(path: &Path, faults: Option<&FaultInjector>) -> io::Result<VfsFile> {
+        alive(faults)?;
         if fires(faults, IoFault::Enospc) {
             return Err(injected(IoFault::Enospc));
         }
@@ -118,6 +147,7 @@ impl VfsFile {
     /// Read exactly `buf.len()` bytes from the start-relative reader
     /// position (used to validate magics on open).
     pub fn read_exact(&mut self, buf: &mut [u8], faults: Option<&FaultInjector>) -> io::Result<()> {
+        alive(faults)?;
         if fires(faults, IoFault::ReadErr) {
             return Err(injected(IoFault::ReadErr));
         }
@@ -126,9 +156,18 @@ impl VfsFile {
 
     /// Append the whole buffer, honouring injected faults:
     /// [`IoFault::Enospc`] and [`IoFault::WriteErr`] fail before any
-    /// byte lands; [`IoFault::ShortWrite`] persists roughly half the
-    /// buffer and then fails (a torn record for recovery to truncate).
+    /// byte lands; [`IoFault::ShortWrite`] — and a crash cut on this
+    /// call — persist roughly half the buffer and then fail (a torn
+    /// record for recovery to truncate).
     pub fn write_all(&mut self, buf: &[u8], faults: Option<&FaultInjector>) -> io::Result<()> {
+        match cut(faults) {
+            IoCut::Alive => {}
+            IoCut::Now => {
+                let _ = self.file.write_all(&buf[..buf.len() / 2]);
+                return Err(dead());
+            }
+            IoCut::Dead => return Err(dead()),
+        }
         if self.poisoned {
             return Err(poisoned_err(&self.path));
         }
@@ -150,6 +189,7 @@ impl VfsFile {
     /// Flush to disk. On an injected [`IoFault::FsyncFail`] (or a real
     /// sync error) the handle is poisoned — see the module docs.
     pub fn sync(&mut self, faults: Option<&FaultInjector>) -> io::Result<()> {
+        alive(faults)?;
         if self.poisoned {
             return Err(poisoned_err(&self.path));
         }
@@ -169,6 +209,7 @@ impl VfsFile {
 
     /// Truncate the file to `len` bytes and fsync the truncation.
     pub fn set_len(&mut self, len: u64, faults: Option<&FaultInjector>) -> io::Result<()> {
+        alive(faults)?;
         if self.poisoned {
             return Err(poisoned_err(&self.path));
         }
@@ -181,6 +222,7 @@ impl VfsFile {
 
 /// Read a whole file (recovery-side replay).
 pub fn read(path: &Path, faults: Option<&FaultInjector>) -> io::Result<Vec<u8>> {
+    alive(faults)?;
     if fires(faults, IoFault::ReadErr) {
         return Err(injected(IoFault::ReadErr));
     }
@@ -189,6 +231,7 @@ pub fn read(path: &Path, faults: Option<&FaultInjector>) -> io::Result<Vec<u8>> 
 
 /// Read a whole file as UTF-8 text (snapshot load).
 pub fn read_to_string(path: &Path, faults: Option<&FaultInjector>) -> io::Result<String> {
+    alive(faults)?;
     if fires(faults, IoFault::ReadErr) {
         return Err(injected(IoFault::ReadErr));
     }
@@ -197,6 +240,7 @@ pub fn read_to_string(path: &Path, faults: Option<&FaultInjector>) -> io::Result
 
 /// Create a directory and all its parents (store/cold-dir setup).
 pub fn create_dir_all(dir: &Path, faults: Option<&FaultInjector>) -> io::Result<()> {
+    alive(faults)?;
     if fires(faults, IoFault::Enospc) {
         return Err(injected(IoFault::Enospc));
     }
@@ -206,6 +250,7 @@ pub fn create_dir_all(dir: &Path, faults: Option<&FaultInjector>) -> io::Result<
 /// List a directory's entry paths, sorted for deterministic iteration
 /// (cold-store scans, stray-tmp sweeps).
 pub fn read_dir_sorted(dir: &Path, faults: Option<&FaultInjector>) -> io::Result<Vec<PathBuf>> {
+    alive(faults)?;
     if fires(faults, IoFault::ReadErr) {
         return Err(injected(IoFault::ReadErr));
     }
@@ -219,6 +264,7 @@ pub fn read_dir_sorted(dir: &Path, faults: Option<&FaultInjector>) -> io::Result
 
 /// Atomically rename `from` onto `to` (the snapshot publish step).
 pub fn rename(from: &Path, to: &Path, faults: Option<&FaultInjector>) -> io::Result<()> {
+    alive(faults)?;
     if fires(faults, IoFault::WriteErr) {
         return Err(injected(IoFault::WriteErr));
     }
@@ -227,6 +273,7 @@ pub fn rename(from: &Path, to: &Path, faults: Option<&FaultInjector>) -> io::Res
 
 /// Remove a file (stray-tmp cleanup, cold-column eviction).
 pub fn remove_file(path: &Path, faults: Option<&FaultInjector>) -> io::Result<()> {
+    alive(faults)?;
     if fires(faults, IoFault::WriteErr) {
         return Err(injected(IoFault::WriteErr));
     }
@@ -236,6 +283,7 @@ pub fn remove_file(path: &Path, faults: Option<&FaultInjector>) -> io::Result<()
 /// Truncate the file at `path` to `len` bytes and fsync the result
 /// (torn-tail repair).
 pub fn truncate(path: &Path, len: u64, faults: Option<&FaultInjector>) -> io::Result<()> {
+    alive(faults)?;
     if fires(faults, IoFault::WriteErr) {
         return Err(injected(IoFault::WriteErr));
     }
@@ -320,6 +368,26 @@ mod tests {
         assert!(!reopened.is_poisoned());
         reopened.write_all(b"!", Some(&faults)).unwrap();
         reopened.sync(Some(&faults)).unwrap();
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn crash_cut_tears_the_write_and_kills_every_later_call() {
+        let path = tmp("crash_cut");
+        let faults = FaultInjector::new();
+        faults.crash_at(2); // create = 0, first write = 1, second write = 2
+        let mut f = VfsFile::create(&path, Some(&faults)).unwrap();
+        f.write_all(b"0123", Some(&faults)).unwrap();
+        assert!(f.write_all(b"456789", Some(&faults)).is_err());
+        assert!(faults.crashed());
+        assert_eq!(f.len().unwrap(), 7, "the cut write lands half its buffer");
+        assert!(f.sync(Some(&faults)).is_err());
+        assert!(
+            f.write_all(b"x", Some(&faults)).is_err(),
+            "dead: no byte lands"
+        );
+        assert!(remove_file(&path, Some(&faults)).is_err());
+        assert_eq!(read(&path, None).unwrap(), b"0123456");
         fs::remove_file(&path).ok();
     }
 

@@ -1,26 +1,71 @@
 //! Chaos harness: concurrent publishers against a durable server while
-//! a bounded storage-fault window (ENOSPC / failed fsyncs) opens and
-//! closes, at both durability layouts (shards = 1 and shards = 8), and
-//! a serve-level run composing I/O faults with network faults. After
-//! every scenario: the server returns to `Healthy` once the faults
-//! clear, a reopened data directory holds exactly what the live server
-//! held, egfsck is clean, and no client is left stuck.
+//! storage-fault windows open and close, at both shard counts
+//! (shards = 1 and shards = 8), and a serve-level run composing I/O
+//! faults with network faults. The fixed windows cover ENOSPC and failed
+//! fsyncs; the seeded schedules (splitmix, replayable by seed) run all
+//! four write-side faults in seeded order and length with cold columns
+//! on, then rot a cold column for the scrubber to heal. After every
+//! scenario: the server returns to `Healthy` once the faults clear, a
+//! reopened data directory holds exactly what the live server held,
+//! egfsck is clean, and no client is left stuck.
 
-use co_core::{DurabilityConfig, DurabilityHealth, OptimizerServer, ServerConfig};
-use co_dataframe::{ColumnData, Scalar};
-use co_graph::{FaultInjector, IoFault, NetFault, NodeKind, Operation, Value, WorkloadDag};
+#[path = "support/mod.rs"]
+mod support;
+
+use co_core::{DurabilityConfig, DurabilityHealth, OptimizerServer};
+use co_dataframe::{Column, ColumnData, DataFrame, Scalar};
+use co_graph::{
+    FaultInjector, GraphError, IoFault, NetFault, NodeKind, Operation, Value, WorkloadDag,
+};
 use co_serve::{
     start, AggSpec, Client, Response, RetryConfig, ServeConfig, SpecStep, WorkloadSpec,
 };
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::{assert_fsck_clean, config_for, data_dir, fingerprint, workload};
 
-struct Step(String);
-impl Operation for Step {
+/// Splitmix PRNG: tiny, deterministic, seed-stable across platforms —
+/// the whole point of a chaos *schedule* is replayability.
+struct Rng(u64);
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+/// One fault window: calm for `.0` ms, then `.1` armed forever for `.2`
+/// ms, then cleared.
+type Window = (u64, IoFault, u64);
+
+/// The seeded schedule: each of the four write-side faults once, in
+/// seeded order, with seeded calm and open durations.
+fn seeded_windows(seed: u64, shards: usize) -> Vec<Window> {
+    let mut rng = Rng(seed ^ shards as u64);
+    let mut faults = vec![
+        IoFault::Enospc,
+        IoFault::WriteErr,
+        IoFault::ShortWrite,
+        IoFault::FsyncFail,
+    ];
+    let mut windows = Vec::new();
+    while !faults.is_empty() {
+        let fault = faults.remove(rng.below(faults.len() as u64) as usize);
+        windows.push((10 + rng.below(30), fault, 20 + rng.below(60)));
+    }
+    windows
+}
+
+/// Deterministic dataset producer, so the drill exercises the cold
+/// store: materialized at publish, recomputable from lineage at scrub.
+struct Make;
+impl Operation for Make {
     fn name(&self) -> &str {
-        &self.0
+        "chaos_make"
     }
     fn params_digest(&self) -> String {
         String::new()
@@ -29,122 +74,86 @@ impl Operation for Step {
         NodeKind::Dataset
     }
     fn run(&self, _inputs: &[&Value]) -> co_graph::Result<Value> {
-        std::thread::sleep(Duration::from_millis(1));
-        Ok(Value::Aggregate(Scalar::Float(1.0)))
+        std::thread::sleep(Duration::from_millis(2));
+        let df = DataFrame::new(vec![Column::source(
+            "chaos_src",
+            "ints",
+            ColumnData::Int((0..128).collect()),
+        )])
+        .map_err(|e| GraphError::op_failed("chaos_make", e.to_string()))?;
+        Ok(Value::dataset(df))
     }
 }
 
-/// src → <name>_prep → <name> (terminal); unique names defeat reuse so
-/// every submission actually publishes.
-fn workload(name: &str) -> WorkloadDag {
-    let mut dag = WorkloadDag::new();
-    let s = dag.add_source("src", Value::Aggregate(Scalar::Float(0.0)));
-    let prep = dag
-        .add_op(Arc::new(Step(format!("{name}_prep"))), &[s])
-        .unwrap();
-    let t = dag
-        .add_op(Arc::new(Step(name.to_owned())), &[prep])
-        .unwrap();
-    dag.mark_terminal(t).unwrap();
-    dag
-}
-
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    vertices: BTreeMap<u64, (u64, u64, u64, u64)>,
-    mat: BTreeSet<u64>,
-}
-
-fn fingerprint(server: &OptimizerServer) -> Fingerprint {
-    let guards = server.shards().read_all();
-    let vertices = guards
-        .iter()
-        .flat_map(|eg| {
-            eg.vertices().map(|v| {
-                (
-                    v.id.0,
-                    (
-                        v.frequency,
-                        v.compute_time.to_bits(),
-                        v.size,
-                        v.quality.to_bits(),
-                    ),
-                )
-            })
-        })
-        .collect();
-    let mat = guards
-        .iter()
-        .flat_map(|eg| {
-            eg.vertices()
-                .filter(|v| eg.was_materialized(v.id))
-                .map(|v| v.id.0)
-        })
-        .collect();
-    Fingerprint { vertices, mat }
-}
-
-fn data_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn assert_fsck_clean(dir: &std::path::Path) {
-    let report = co_graph::fsck::check_data_dir(dir, true).unwrap();
-    assert!(report.is_clean(), "data dir: {report}");
-}
-
-/// The core chaos scenario at a given shard count: 4 concurrent
-/// publishers, a fault window that opens mid-run and closes before the
-/// end, every failure transient, full convergence afterwards.
-fn storage_chaos(shards: usize, fault: IoFault) {
-    let dir = data_dir(&format!("chaos_s{shards}_{}", fault.name()));
-    let mut config = ServerConfig::collaborative(u64::MAX);
-    config.shards = shards;
-    let (server, _) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
+/// The core chaos scenario: 4 concurrent publishers (each at least 30
+/// rounds, and on until the last window closes) while `windows` open
+/// and close; every failure transient, full convergence afterwards.
+/// With `cold_columns`, one dataset artifact is mirrored to a cold file
+/// before the storm and bit-rotted after it, and the scrubber must heal
+/// it byte-identically from lineage.
+fn storage_chaos(name: &str, shards: usize, cold_columns: bool, windows: &[Window]) {
+    let dir = data_dir(name);
+    let config = config_for(shards);
+    let mut durability = DurabilityConfig::new(&dir);
+    durability.cold_columns = cold_columns;
+    let (server, _) = OptimizerServer::open(config, durability).unwrap();
     let server = Arc::new(server);
     let faults = Arc::new(FaultInjector::new());
     server.set_fault_injector(Arc::clone(&faults));
 
+    let cold_id = cold_columns.then(|| {
+        let mut dag = WorkloadDag::new();
+        let s = dag.add_source("chaos_src", Value::Aggregate(Scalar::Float(0.0)));
+        let m = dag.add_op(Arc::new(Make), &[s]).unwrap();
+        dag.mark_terminal(m).unwrap();
+        let (dag, _) = server.run_workload(dag).unwrap();
+        dag.nodes()[m.0].artifact
+    });
+
     const PUBLISHERS: usize = 4;
     const ROUNDS: usize = 30;
+    let stop = Arc::new(AtomicBool::new(false));
     let handles: Vec<_> = (0..PUBLISHERS)
         .map(|p| {
             let server = Arc::clone(&server);
+            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut succeeded = 0usize;
-                for r in 0..ROUNDS {
+                let mut r = 0;
+                while r < ROUNDS || !stop.load(Ordering::SeqCst) {
                     match server.run_workload(workload(&format!("chaos_p{p}_r{r}"))) {
                         Ok(_) => succeeded += 1,
                         Err(e) => {
-                            // Inside the window every refusal must be
-                            // the retriable read-only kind — a chaos
-                            // drill must never wedge a healthy server.
+                            // Inside a window every refusal must be the
+                            // retriable read-only kind — a chaos drill
+                            // must never wedge a healthy server.
                             assert!(
                                 e.error.is_transient(),
                                 "publisher {p} round {r}: non-transient {e}"
                             );
                         }
                     }
+                    r += 1;
                 }
                 succeeded
             })
         })
         .collect();
 
-    // Open the fault window mid-run, keep it open briefly, close it.
-    std::thread::sleep(Duration::from_millis(30));
-    faults.arm_io_fault(fault, usize::MAX);
-    std::thread::sleep(Duration::from_millis(80));
-    faults.clear_io_faults();
+    for &(calm, fault, open) in windows {
+        std::thread::sleep(Duration::from_millis(calm));
+        faults.arm_io_fault(fault, usize::MAX);
+        std::thread::sleep(Duration::from_millis(open));
+        faults.clear_io_faults();
+    }
+    stop.store(true, Ordering::SeqCst);
 
     let succeeded: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    assert!(succeeded > 0, "some publishes must land around the window");
+    assert!(succeeded > 0, "some publishes must land around the windows");
 
     // Faults are gone: the server must return to Healthy (repair may
     // already have happened opportunistically on a late publish).
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + Duration::from_secs(20);
     while server.durability_health() != DurabilityHealth::Healthy {
         assert!(Instant::now() < deadline, "server never healed");
         let _ = server.try_repair();
@@ -155,36 +164,80 @@ fn storage_chaos(shards: usize, fault: IoFault) {
     server.run_workload(workload("chaos_after")).unwrap();
     server.flush_durable().unwrap();
 
+    if let Some(id) = cold_id {
+        // Bit rot in the seeded cold column: the scrubber heals it from
+        // lineage, byte-identically (the cold encoding is deterministic).
+        let path = dir.join("cold").join(format!("cold-{:016x}.col", id.0));
+        let pristine = std::fs::read(&path).expect("cold column written");
+        let mut rotted = pristine.clone();
+        let mid = rotted.len() / 2;
+        rotted[mid] ^= 0x10;
+        std::fs::write(&path, &rotted).unwrap();
+        let scrub = server.scrub();
+        assert!(scrub.healed >= 1, "bit rot must heal: {scrub:?}");
+        assert_eq!(scrub.quarantined, 0, "nothing here is unrecoverable");
+        assert_eq!(std::fs::read(&path).unwrap(), pristine);
+    }
+
     // Reopen: the directory holds exactly what the live server held —
     // committed publishes plus the healed backlog, nothing torn.
     let live = fingerprint(&server);
-    let stats = server.stats();
-    assert_eq!(stats.durability_health, 0);
+    assert_eq!(server.stats().durability_health, 0);
     drop(server);
-    let (reopened, _) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
-    assert_eq!(fingerprint(&reopened), live, "shards={shards} {fault:?}");
-    drop(reopened);
-    assert_fsck_clean(&dir);
+    let mut durability = DurabilityConfig::new(&dir);
+    durability.cold_columns = cold_columns;
+    let (reopened, _) = OptimizerServer::open(config, durability).unwrap();
+    assert_eq!(fingerprint(&reopened), live, "{name}");
+    assert_fsck_clean(&reopened, &dir);
+}
+
+fn fixed_window(shards: usize, fault: IoFault) {
+    let name = format!("chaos_s{shards}_{}", fault.name());
+    storage_chaos(&name, shards, false, &[(30, fault, 80)]);
 }
 
 #[test]
 fn chaos_enospc_window_single_shard() {
-    storage_chaos(1, IoFault::Enospc);
+    fixed_window(1, IoFault::Enospc);
 }
 
 #[test]
 fn chaos_fsync_window_single_shard() {
-    storage_chaos(1, IoFault::FsyncFail);
+    fixed_window(1, IoFault::FsyncFail);
 }
 
 #[test]
 fn chaos_enospc_window_sharded() {
-    storage_chaos(8, IoFault::Enospc);
+    fixed_window(8, IoFault::Enospc);
 }
 
 #[test]
 fn chaos_fsync_window_sharded() {
-    storage_chaos(8, IoFault::FsyncFail);
+    fixed_window(8, IoFault::FsyncFail);
+}
+
+/// The seeded schedule at both shard counts, with cold columns and the
+/// scrub step.
+fn seeded_chaos(seed: u64) {
+    for shards in [1, 8] {
+        let windows = seeded_windows(seed, shards);
+        storage_chaos(
+            &format!("chaos_seed{seed}_s{shards}"),
+            shards,
+            true,
+            &windows,
+        );
+    }
+}
+
+#[test]
+fn chaos_seeded_windows_seed_49374() {
+    seeded_chaos(49374);
+}
+
+#[test]
+fn chaos_seeded_windows_seed_271828() {
+    seeded_chaos(271_828);
 }
 
 // ---------------------------------------------------------------------
@@ -222,11 +275,7 @@ fn spec(salt: f64) -> WorkloadSpec {
 #[test]
 fn chaos_serve_clients_ride_out_a_disk_outage() {
     let dir = data_dir("chaos_serve");
-    let (server, _) = OptimizerServer::open(
-        ServerConfig::collaborative(u64::MAX),
-        DurabilityConfig::new(&dir),
-    )
-    .unwrap();
+    let (server, _) = OptimizerServer::open(config_for(1), DurabilityConfig::new(&dir)).unwrap();
     let server = Arc::new(server);
     let faults = Arc::new(FaultInjector::new());
     server.set_fault_injector(Arc::clone(&faults));
@@ -291,5 +340,5 @@ fn chaos_serve_clients_ride_out_a_disk_outage() {
     let stats = handle.join().unwrap();
     assert_eq!(stats.durability_health, 0, "healed before the drain");
     assert!(stats.served >= 12);
-    assert_fsck_clean(&dir);
+    assert_fsck_clean(&server, &dir);
 }

@@ -1,142 +1,28 @@
-//! Crash matrix: kill persistence at every injected crash point and
-//! assert a restarted server recovers exactly the committed-workload
-//! prefix — same vertex ids, frequencies, materialization flags, and
-//! quarantine set. There is one durability layout (per-shard journals
-//! sealed by a commit record, DESIGN.md §10), so every test body runs
-//! at `shards = 1` and `shards = 8`.
+//! Crash matrix: cut the process at every I/O operation of a publish,
+//! a compaction and an eviction, and assert a restarted server holds
+//! exactly the state before the operation or exactly the live state
+//! after it — same vertex ids, frequencies, materialization flags and
+//! quarantine set — never anything else. A crash is one more schedule
+//! on the vfs fault injector (`FaultInjector::crash_at`); the loops
+//! discover each operation's I/O count instead of naming crash points.
+//! There is one durability layout (per-shard journals sealed by a commit
+//! record, DESIGN.md §10), so every test body runs at `shards = 1` and
+//! `shards = 8`.
 
-use co_core::{DurabilityConfig, OptimizerServer, ServerConfig};
-use co_dataframe::Scalar;
-use co_graph::journal::QuarantineEntry;
-use co_graph::{shard_of, ArtifactId, WorkloadDag};
-use co_graph::{CrashPoint, FaultInjector, FaultKind, GraphError, NodeKind, Operation, Value};
-use std::collections::{BTreeMap, BTreeSet};
+#[path = "support/mod.rs"]
+mod support;
+
+use co_core::{DurabilityConfig, OptimizerServer, RecoveryReport, ServerConfig};
+use co_graph::{ArtifactId, FaultInjector, FaultKind, FsyncPolicy, GraphError};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
+use support::{
+    assert_fsck_clean, config_for, crash_at_every_op, cross_shard_workload, data_dir, fingerprint,
+    recovered_at, workload,
+};
 
-struct Step(String);
-impl Operation for Step {
-    fn name(&self) -> &str {
-        &self.0
-    }
-    fn params_digest(&self) -> String {
-        String::new()
-    }
-    fn output_kind(&self) -> NodeKind {
-        NodeKind::Dataset
-    }
-    fn run(&self, _inputs: &[&Value]) -> co_graph::Result<Value> {
-        // Real compute cost, so artifacts are worth materializing.
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        Ok(Value::Aggregate(Scalar::Float(1.0)))
-    }
-}
-
-fn step(name: impl Into<String>) -> Arc<Step> {
-    Arc::new(Step(name.into()))
-}
-
-/// src → prep_step → <tail> (terminal).
-fn workload(tail: &'static str) -> WorkloadDag {
-    let mut dag = WorkloadDag::new();
-    let s = dag.add_source("src", Value::Aggregate(Scalar::Float(0.0)));
-    let prep = dag.add_op(step("prep_step"), &[s]).unwrap();
-    let t = dag.add_op(step(tail), &[prep]).unwrap();
-    dag.mark_terminal(t).unwrap();
-    dag
-}
-
-/// A three-op chain whose artifacts provably land on at least two
-/// different shards of an `n`-way partition when it has two (op names
-/// are salted until the hash-based routing spreads them), so a crash
-/// injected *between* two per-shard journal appends is actually
-/// reachable.
-fn cross_shard_workload(n: usize, salt: u64) -> WorkloadDag {
-    for attempt in 0.. {
-        let mut dag = WorkloadDag::new();
-        let s = dag.add_source("src", Value::Aggregate(Scalar::Float(0.0)));
-        let mut prev = s;
-        for i in 0..3 {
-            prev = dag
-                .add_op(step(format!("x{salt}_{attempt}_{i}")), &[prev])
-                .unwrap();
-        }
-        dag.mark_terminal(prev).unwrap();
-        let shards: BTreeSet<usize> = dag
-            .nodes()
-            .iter()
-            .map(|node| shard_of(node.artifact, n))
-            .collect();
-        if shards.len() >= n.min(2) {
-            return dag;
-        }
-    }
-    unreachable!()
-}
-
-/// Everything durability must preserve across a restart.
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    /// id → (frequency, compute_time bits, size, quality bits).
-    vertices: BTreeMap<u64, (u64, u64, u64, u64)>,
-    /// Artifacts whose mat flag is set (content or restored flag).
-    mat: BTreeSet<u64>,
-    /// Quarantined operations as (op_hash, failures).
-    quarantine: BTreeSet<(u64, usize)>,
-}
-
-fn fingerprint(server: &OptimizerServer) -> Fingerprint {
-    // read_all works at every shard count (one guard at shards = 1).
-    let guards = server.shards().read_all();
-    let vertices = guards
-        .iter()
-        .flat_map(|eg| {
-            eg.vertices().map(|v| {
-                (
-                    v.id.0,
-                    (
-                        v.frequency,
-                        v.compute_time.to_bits(),
-                        v.size,
-                        v.quality.to_bits(),
-                    ),
-                )
-            })
-        })
-        .collect();
-    let mat = guards
-        .iter()
-        .flat_map(|eg| {
-            eg.vertices()
-                .filter(|v| eg.was_materialized(v.id))
-                .map(|v| v.id.0)
-        })
-        .collect();
-    let quarantine = server
-        .quarantine()
-        .map(|q| {
-            q.entries()
-                .into_iter()
-                .map(|(op, _, failures)| (op, failures))
-                .collect()
-        })
-        .unwrap_or_default();
-    Fingerprint {
-        vertices,
-        mat,
-        quarantine,
-    }
-}
-
-/// A fresh per-test data directory under `target/tmp` (covered by the
-/// CI stray-tmp-file leak check).
-fn data_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn open(config: ServerConfig, dir: &PathBuf) -> (OptimizerServer, co_core::RecoveryReport) {
+fn open(config: ServerConfig, dir: &PathBuf) -> (OptimizerServer, RecoveryReport) {
     OptimizerServer::open(config, DurabilityConfig::new(dir)).unwrap()
 }
 
@@ -144,175 +30,153 @@ fn open(config: ServerConfig, dir: &PathBuf) -> (OptimizerServer, co_core::Recov
 /// (paper materializer) and the subset publish (first-fit).
 const SHARD_COUNTS: [usize; 2] = [1, 8];
 
-fn config_for(shards: usize) -> ServerConfig {
-    let mut config = ServerConfig::collaborative(u64::MAX);
-    config.shards = shards;
-    config
-}
-
-/// After any crash-and-recover sequence, the live graph and an offline
-/// replay of the data directory must both satisfy every egfsck
-/// invariant — cross-shard invariants included.
-fn assert_fsck_clean(server: &OptimizerServer, dir: &std::path::Path) {
-    let guards = server.shards().read_all();
-    let refs: Vec<&co_graph::ExperimentGraph> = guards.iter().map(|g| &**g).collect();
-    let quarantine: Vec<QuarantineEntry> = server
-        .quarantine()
-        .map(|q| {
-            q.entries()
-                .into_iter()
-                .map(|(op_hash, name, failures)| QuarantineEntry {
-                    op_hash,
-                    name,
-                    failures,
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let live = co_graph::fsck::check_shards(&refs, &quarantine);
-    assert!(live.is_clean(), "live graph: {live}");
-    drop(guards);
-    let offline = co_graph::fsck::check_data_dir(dir, true).unwrap();
-    assert!(offline.is_clean(), "data dir: {offline}");
-}
-
-/// Every journal-side crash point — including, where a publish spans
-/// several shards, one fired *between* two shards' journal appends —
-/// must roll the whole publish back on reopen. The commit record
-/// decides atomicity: per-shard records whose sequence number never
-/// reached `eg.commit` are skipped by recovery.
+/// A publish spanning `s` shards is `2s + 2` I/O ops under
+/// `FsyncPolicy::Always` (each touched journal's write and fsync, then
+/// the commit record's) and `s + 1` under `Never` (writes only). The
+/// commit record's fsync is the one commit point: only a cut there —
+/// after the record is whole on disk — recovers the publish. A cut on a
+/// write tears that record; a cut between appends leaves whole journal
+/// records whose publish never committed, which recovery skips.
 #[test]
-fn journal_crash_points_recover_the_committed_prefix() {
+fn publish_crash_at_every_io_op_recovers_before_or_after() {
     for shards in SHARD_COUNTS {
-        let mut points = vec![
-            CrashPoint::JournalMidAppend,
-            CrashPoint::JournalPreFsync,
-            CrashPoint::CommitPreAppend,
-        ];
-        if shards > 1 {
-            // Only reachable when one publish appends to two journals.
-            points.push(CrashPoint::ShardGapAppend);
-        }
-        for point in points {
-            let dir = data_dir(&format!("crash_{shards}_{}", point.name()));
-            let config = config_for(shards);
-            let (server, recovery) = open(config, &dir);
-            assert!(!recovery.snapshot_loaded);
-
-            let faults = Arc::new(FaultInjector::new());
-            server.set_fault_injector(Arc::clone(&faults));
-            server
-                .run_workload(cross_shard_workload(shards, 1))
-                .unwrap();
-            let committed = fingerprint(&server);
-
-            // The crash fires while the second workload's deltas are
-            // being journaled: the run is reported failed (its effects
-            // would not survive a restart) …
-            faults.arm_crash(point);
-            let err = server
-                .run_workload(cross_shard_workload(shards, 100))
-                .unwrap_err();
-            assert!(err.to_string().contains(point.name()), "{point:?}: {err}");
-            assert_eq!(faults.crashes_fired(), 1, "{point:?}");
-            assert_eq!(server.stats().failed_workloads, 1);
-
-            // … and the durability layer wedges: later publishes refuse
-            // rather than journal records recovery could never replay.
-            let wedged = server
-                .run_workload(cross_shard_workload(shards, 200))
-                .unwrap_err();
-            assert!(wedged.to_string().contains("wedged"), "{wedged}");
-            assert!(server.is_wedged());
-
-            // "Reboot": a server opened from the same directory holds
-            // exactly the committed prefix.
-            drop(server);
-            let (reopened, recovery) = open(config, &dir);
-            assert_eq!(fingerprint(&reopened), committed, "{shards} {point:?}");
-            assert_eq!(
-                recovery.torn_tail_truncated,
-                point == CrashPoint::JournalMidAppend,
-                "mid-append leaves a torn record, the others lose it whole"
+        let touched = shards.min(3);
+        for policy in [FsyncPolicy::Always, FsyncPolicy::Never] {
+            let cuts = crash_at_every_op(
+                &format!("crash_publish_{shards}_{policy:?}"),
+                shards,
+                policy,
+                |server| {
+                    server
+                        .run_workload(cross_shard_workload(shards, 1))
+                        .unwrap();
+                },
+                |server| {
+                    let _ = server.run_workload(cross_shard_workload(shards, 100));
+                },
+                |_| {},
             );
-            assert_eq!(recovery.committed_publishes, 1, "{shards} {point:?}");
-            if matches!(
-                point,
-                CrashPoint::ShardGapAppend | CrashPoint::CommitPreAppend
-            ) {
-                // Some journal holds fully written records for the
-                // crashed publish; without its commit record they are
-                // uncommitted and recovery must skip them.
-                assert!(
-                    recovery.journal_records_skipped > 0,
-                    "{point:?} leaves uncommitted records to skip: {recovery:?}"
+            let (ops, is_write): (usize, fn(usize) -> bool) = match policy {
+                FsyncPolicy::Always => (2 * touched + 2, |k| k % 2 == 0),
+                FsyncPolicy::Never => (touched + 1, |_| true),
+            };
+            assert_eq!(cuts.len(), ops, "{shards} {policy:?}");
+            for cut in &cuts {
+                assert_eq!(
+                    cut.recovery.torn_tail_truncated,
+                    is_write(cut.at),
+                    "{shards} {policy:?} cut {}: {:?}",
+                    cut.at,
+                    cut.recovery
                 );
-                assert!(recovery.render().contains("skipped"));
+                assert_eq!(
+                    cut.recovery.committed_publishes,
+                    1 + usize::from(cut.recovered_op)
+                );
             }
-
-            // The reopened server serves and persists workloads normally.
-            reopened
-                .run_workload(cross_shard_workload(shards, 100))
+            match policy {
+                FsyncPolicy::Always => assert_eq!(recovered_at(&cuts), [ops - 1]),
+                // Every op is a write, the last one the commit record's:
+                // a cut anywhere tears or loses the publish.
+                FsyncPolicy::Never => assert!(recovered_at(&cuts).is_empty()),
+            }
+            let max_skipped = cuts
+                .iter()
+                .map(|c| c.recovery.journal_records_skipped)
+                .max()
                 .unwrap();
-            let after = fingerprint(&reopened);
-            drop(reopened);
-            let (third, _) = open(config, &dir);
-            assert_eq!(fingerprint(&third), after, "{shards} {point:?}");
-            assert_fsck_clean(&third, &dir);
+            assert!(max_skipped >= touched.min(2), "{shards} {policy:?}");
         }
     }
 }
 
-/// Snapshot crash points during a compaction: an interrupted snapshot
-/// save leaves (at most) a temp file; the live snapshots, journals, and
-/// commit log still recover everything committed.
+/// A compaction of N shards is `4N + 2N + 2` I/O ops: per shard the
+/// snapshot tmp's create, write, fsync and rename, then each journal's
+/// and finally the commit log's truncate + fsync. A cut anywhere leaves
+/// every committed publish recoverable; a cut between a tmp's create
+/// and its rename leaves exactly that tmp for recovery to remove. The
+/// recovered directory — snapshots possibly renamed while their journals
+/// are not yet reset — compacts again, after which an open replays no
+/// journal record.
 #[test]
-fn snapshot_crash_points_never_damage_the_live_snapshot() {
+fn compaction_crash_at_every_io_op_keeps_the_committed_state() {
     for shards in SHARD_COUNTS {
-        for point in [
-            CrashPoint::SnapshotMidWrite,
-            CrashPoint::SnapshotPreFsync,
-            CrashPoint::SnapshotPreRename,
-        ] {
-            let dir = data_dir(&format!("crash_{shards}_{}", point.name()));
-            let config = config_for(shards);
-            let (server, _) = open(config, &dir);
-            let faults = Arc::new(FaultInjector::new());
-            server.set_fault_injector(Arc::clone(&faults));
+        let cuts = crash_at_every_op(
+            &format!("crash_compact_{shards}"),
+            shards,
+            FsyncPolicy::Always,
+            |server| {
+                // One compacted workload (lives in the snapshots) plus
+                // one journaled workload, so recovery stitches both.
+                server
+                    .run_workload(cross_shard_workload(shards, 1))
+                    .unwrap();
+                server.compact().unwrap();
+                server
+                    .run_workload(cross_shard_workload(shards, 50))
+                    .unwrap();
+            },
+            |server| {
+                let _ = server.compact();
+            },
+            |reopened| {
+                // The recovered directory compacts again, without
+                // changing the state.
+                let recovered = fingerprint(reopened);
+                reopened.compact().unwrap();
+                assert_eq!(reopened.stats().snapshots_compacted, 1);
+                assert_eq!(fingerprint(reopened), recovered);
+            },
+        );
+        assert_eq!(cuts.len(), 6 * shards + 2, "shards = {shards}");
+        for cut in &cuts {
+            let tmp_left = cut.at < 4 * shards && cut.at % 4 != 0;
+            assert_eq!(
+                cut.recovery.stray_tmp_removed,
+                usize::from(tmp_left),
+                "{shards} cut {}",
+                cut.at
+            );
+            assert!(cut.recovery.snapshot_loaded);
+            assert!(!cut.recovery.torn_tail_truncated);
+            // After the follow-up compaction the journals replay nothing.
+            assert_eq!(
+                cut.settled.journal_records_replayed, 0,
+                "{shards} cut {}",
+                cut.at
+            );
+        }
+    }
+}
 
-            // One compacted workload (lives in the snapshots) plus one
-            // journaled workload, so recovery must stitch both sources.
-            server
-                .run_workload(cross_shard_workload(shards, 1))
-                .unwrap();
-            server.compact().unwrap();
-            server
-                .run_workload(cross_shard_workload(shards, 50))
-                .unwrap();
-            let committed = fingerprint(&server);
-
-            faults.arm_crash(point);
-            let err = server.compact().unwrap_err();
-            assert!(err.to_string().contains(point.name()), "{err}");
-            assert_eq!(faults.crashes_fired(), 1);
-
-            // The interrupted save left (at most) a temp file behind; the
-            // live snapshots + journals still recover everything committed.
-            drop(server);
-            let (reopened, recovery) = open(config, &dir);
-            assert_eq!(fingerprint(&reopened), committed, "{shards} {point:?}");
-            assert_eq!(recovery.stray_tmp_removed, 1, "{shards} {point:?}");
-            assert!(recovery.snapshot_loaded);
-
-            // Compaction itself still works after the "crash"; afterwards
-            // the journals replay nothing.
-            reopened.compact().unwrap();
-            assert_eq!(reopened.stats().snapshots_compacted, 1);
-            drop(reopened);
-            let (third, recovery) = open(config, &dir);
-            assert_eq!(fingerprint(&third), committed, "{shards} {point:?}");
-            assert_eq!(recovery.journal_records_replayed, 0, "journals compacted");
-            assert_fsck_clean(&third, &dir);
+/// An eviction is journaled and committed like a one-shard publish:
+/// four I/O ops, the last (the commit record's fsync) its commit point.
+#[test]
+fn eviction_crash_at_every_io_op_recovers_before_or_after() {
+    for shards in SHARD_COUNTS {
+        let cuts = crash_at_every_op(
+            &format!("crash_evict_{shards}"),
+            shards,
+            FsyncPolicy::Always,
+            |server| {
+                server.run_workload(workload("tail_one")).unwrap();
+            },
+            |server| {
+                let id: ArtifactId = server
+                    .shards()
+                    .read_all()
+                    .iter()
+                    .flat_map(|eg| eg.storage().materialized_ids())
+                    .min()
+                    .expect("the workload materialized something");
+                server.evict_artifact(id);
+            },
+            |_| {},
+        );
+        assert_eq!(cuts.len(), 4, "shards = {shards}");
+        assert_eq!(recovered_at(&cuts), [3], "shards = {shards}");
+        for cut in &cuts {
+            assert_eq!(cut.recovery.torn_tail_truncated, cut.at % 2 == 0);
         }
     }
 }
@@ -326,14 +190,14 @@ fn torn_tail_is_truncated_and_reported() {
         let faults = Arc::new(FaultInjector::new());
         server.set_fault_injector(Arc::clone(&faults));
         server.run_workload(workload("tail_one")).unwrap();
-        faults.arm_crash(CrashPoint::JournalMidAppend);
+        faults.crash_at(0); // the first journal write: a torn record
         server.run_workload(workload("tail_two")).unwrap_err();
         drop(server);
 
         // `journal_records_replayed` counts per-shard records applied
         // (one per publish at one shard, one per touched shard beyond);
         // `committed_publishes` counts publishes.
-        let replayed_ok = |recovery: &co_core::RecoveryReport, publishes: usize| {
+        let replayed_ok = |recovery: &RecoveryReport, publishes: usize| {
             assert_eq!(recovery.committed_publishes, publishes, "{recovery:?}");
             if shards == 1 {
                 assert_eq!(recovery.journal_records_replayed, publishes);

@@ -1,8 +1,8 @@
 //! Storage I/O fault injection: graded degradation and self-healing.
 //!
 //! Where the crash matrix (`crash_recovery.rs`) simulates a *dead
-//! process* — the durability layer wedges and a restart recovers the
-//! committed prefix — this suite simulates a *live process on a sick
+//! process* — every I/O from the cut on fails and a restart recovers
+//! the committed prefix — this suite simulates a *live process on a sick
 //! disk*: ENOSPC, failed fsyncs (with fsyncgate handle poisoning), and
 //! short writes. The server must degrade to read-only (reads, reuse and
 //! warm-starts keep serving; publishes are rejected retriably), queue
@@ -11,99 +11,24 @@
 //! detected by CRC, healed byte-identically from lineage, and only the
 //! genuinely unrecoverable is quarantined.
 
+#[path = "support/mod.rs"]
+mod support;
+
 use co_core::{DurabilityConfig, DurabilityHealth, OptimizerServer, ServerConfig};
 use co_dataframe::{Column, ColumnData, DataFrame, Scalar};
 use co_graph::{
     ArtifactId, FaultInjector, FsyncPolicy, GraphError, IoFault, NodeKind, Operation, Value,
     WorkloadDag,
 };
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-struct Step(String);
-impl Operation for Step {
-    fn name(&self) -> &str {
-        &self.0
-    }
-    fn params_digest(&self) -> String {
-        String::new()
-    }
-    fn output_kind(&self) -> NodeKind {
-        NodeKind::Dataset
-    }
-    fn run(&self, _inputs: &[&Value]) -> co_graph::Result<Value> {
-        std::thread::sleep(Duration::from_millis(2));
-        Ok(Value::Aggregate(Scalar::Float(1.0)))
-    }
-}
-
-fn step(name: impl Into<String>) -> Arc<Step> {
-    Arc::new(Step(name.into()))
-}
-
-/// src → prep_step → <tail> (terminal).
-fn workload(tail: &str) -> WorkloadDag {
-    let mut dag = WorkloadDag::new();
-    let s = dag.add_source("src", Value::Aggregate(Scalar::Float(0.0)));
-    let prep = dag.add_op(step("prep_step"), &[s]).unwrap();
-    let t = dag.add_op(step(tail.to_owned()), &[prep]).unwrap();
-    dag.mark_terminal(t).unwrap();
-    dag
-}
-
-/// Everything durability must preserve across a restart.
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    vertices: BTreeMap<u64, (u64, u64, u64, u64)>,
-    mat: BTreeSet<u64>,
-}
-
-fn fingerprint(server: &OptimizerServer) -> Fingerprint {
-    let guards = server.shards().read_all();
-    let vertices = guards
-        .iter()
-        .flat_map(|eg| {
-            eg.vertices().map(|v| {
-                (
-                    v.id.0,
-                    (
-                        v.frequency,
-                        v.compute_time.to_bits(),
-                        v.size,
-                        v.quality.to_bits(),
-                    ),
-                )
-            })
-        })
-        .collect();
-    let mat = guards
-        .iter()
-        .flat_map(|eg| {
-            eg.vertices()
-                .filter(|v| eg.was_materialized(v.id))
-                .map(|v| v.id.0)
-        })
-        .collect();
-    Fingerprint { vertices, mat }
-}
-
-fn data_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use support::{assert_fsck_clean, data_dir, fingerprint, workload};
 
 fn open(config: ServerConfig, dir: &PathBuf) -> OptimizerServer {
     OptimizerServer::open(config, DurabilityConfig::new(dir))
         .unwrap()
         .0
-}
-
-fn assert_fsck_clean(dir: &std::path::Path) {
-    let report = co_graph::fsck::check_data_dir(dir, true).unwrap();
-    assert!(report.is_clean(), "data dir: {report}");
 }
 
 // ---------------------------------------------------------------------
@@ -159,7 +84,7 @@ fn failed_fsync_degrades_to_read_only_then_self_heals_without_restart() {
     drop(server);
     let reopened = open(config, &dir);
     assert_eq!(fingerprint(&reopened), live);
-    assert_fsck_clean(&dir);
+    assert_fsck_clean(&reopened, &dir);
 }
 
 /// `FsyncPolicy` governs *every* log of the data directory — the
@@ -205,7 +130,7 @@ fn every_log_obeys_the_fsync_policy() {
             let (reopened, recovery) = OptimizerServer::open(config, durability).unwrap();
             assert_eq!(recovery.committed_publishes, 20);
             assert_eq!(fingerprint(&reopened), live);
-            assert_fsck_clean(&dir);
+            assert_fsck_clean(&reopened, &dir);
         }
     }
 }
@@ -235,7 +160,7 @@ fn enospc_on_journal_append_keeps_exactly_the_committed_prefix_on_reopen() {
     let reopened = open(config, &dir);
     assert_eq!(fingerprint(&reopened), committed);
     reopened.run_workload(workload("tail_two")).unwrap();
-    assert_fsck_clean(&dir);
+    assert_fsck_clean(&reopened, &dir);
 }
 
 #[test]
@@ -274,7 +199,44 @@ fn short_write_mid_compaction_preserves_the_committed_prefix() {
     drop(server);
     let reopened = open(config, &dir);
     assert_eq!(fingerprint(&reopened), committed);
-    assert_fsck_clean(&dir);
+    assert_fsck_clean(&reopened, &dir);
+}
+
+/// Repair's stray-tmp sweep goes through the injector like every other
+/// durability file operation after open: while every write fails, the
+/// temp file an interrupted compaction left stays where it is, and the
+/// sweep only removes it once the disk is back.
+#[test]
+fn repair_sweep_is_subject_to_injected_faults() {
+    let dir = data_dir("io_sweep_faults");
+    let config = ServerConfig::collaborative(u64::MAX);
+    let server = open(config, &dir);
+    let faults = Arc::new(FaultInjector::new());
+    server.set_fault_injector(Arc::clone(&faults));
+    server.run_workload(workload("tail_one")).unwrap();
+
+    faults.arm_io_fault(IoFault::WriteErr, usize::MAX);
+    server.compact().unwrap_err();
+    let tmp = dir.join("eg-0.egsnap.tmp");
+    assert!(tmp.exists(), "the failed save created its temp file");
+    // The first publish fails to append and turns the layer read-only;
+    // the second runs the opportunistic repair, whose sweep must fail
+    // like every other write.
+    for tail in ["tail_two", "tail_three"] {
+        let err = server.run_workload(workload(tail)).unwrap_err();
+        assert!(err.error.is_transient(), "{err}");
+    }
+    assert!(server.stats().repair_attempts >= 1);
+    assert!(tmp.exists(), "a failing disk removed the temp file");
+
+    faults.clear_io_faults();
+    assert!(server.try_repair().unwrap());
+    assert!(!tmp.exists(), "repair on a good disk sweeps the temp file");
+    let live = fingerprint(&server);
+    drop(server);
+    let reopened = open(config, &dir);
+    assert_eq!(fingerprint(&reopened), live);
+    assert_fsck_clean(&reopened, &dir);
 }
 
 #[test]
@@ -310,7 +272,7 @@ fn repeated_failed_repairs_wedge_permanently() {
     drop(server);
     let reopened = open(config, &dir);
     reopened.run_workload(workload("tail_two")).unwrap();
-    assert_fsck_clean(&dir);
+    assert_fsck_clean(&reopened, &dir);
 }
 
 #[test]
@@ -343,7 +305,7 @@ fn publish_storms_during_an_outage_never_wedge() {
     drop(server);
     let reopened = open(config, &dir);
     assert_eq!(fingerprint(&reopened), live);
-    assert_fsck_clean(&dir);
+    assert_fsck_clean(&reopened, &dir);
 }
 
 // ---------------------------------------------------------------------

@@ -2,33 +2,22 @@
 //! §10): many concurrent publishers whose workloads span pseudo-random
 //! shard subsets must never deadlock — every publish acquires its
 //! touched shards' write locks in ascending index order, so circular
-//! waits are impossible by construction — and after a crash (injected
-//! at any journal-side point, including between two shards' appends of
+//! waits are impossible by construction — and after a crash (cut at
+//! any I/O op of a publish, including between two shards' appends of
 //! one publish) a reopened server holds exactly the committed prefix.
 
-use co_core::{DurabilityConfig, OptimizerServer, ServerConfig};
+#[path = "support/mod.rs"]
+mod support;
+
+use co_core::{DurabilityConfig, OptimizerServer};
 use co_dataframe::Scalar;
-use co_graph::{shard_of, ArtifactId, WorkloadDag};
-use co_graph::{CrashPoint, FaultInjector, NodeKind, Operation, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use co_graph::{shard_of, ArtifactId, FsyncPolicy, Value, WorkloadDag};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-struct Step(String);
-impl Operation for Step {
-    fn name(&self) -> &str {
-        &self.0
-    }
-    fn params_digest(&self) -> String {
-        String::new()
-    }
-    fn output_kind(&self) -> NodeKind {
-        NodeKind::Dataset
-    }
-    fn run(&self, _inputs: &[&Value]) -> co_graph::Result<Value> {
-        Ok(Value::Aggregate(Scalar::Float(1.0)))
-    }
-}
+use support::{
+    assert_fsck_clean, config_for, crash_at_every_op, data_dir, fingerprint, recovered_at, step,
+};
 
 /// Deterministic xorshift, so every run stresses the same (varied)
 /// shard subsets.
@@ -54,43 +43,16 @@ fn random_workload(seed: u64) -> WorkloadDag {
     let n_ops = 2 + (xorshift(seed) % 3) as usize;
     for i in 0..n_ops {
         let tag = xorshift(seed.wrapping_add(i as u64 * 7919));
-        prev = dag
-            .add_op(Arc::new(Step(format!("op_{tag:x}"))), &[prev])
-            .unwrap();
+        prev = dag.add_op(step(format!("op_{tag:x}")), &[prev]).unwrap();
     }
     dag.mark_terminal(prev).unwrap();
     dag
 }
 
-/// id → (frequency, mat flag) across every shard.
-fn fingerprint(server: &OptimizerServer) -> BTreeMap<u64, (u64, bool)> {
-    let guards = server.shards().read_all();
-    guards
-        .iter()
-        .flat_map(|eg| {
-            eg.vertices()
-                .map(|v| (v.id.0, (v.frequency, eg.was_materialized(v.id))))
-        })
-        .collect()
-}
-
-fn data_dir(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn open_sharded(shards: usize, dir: &PathBuf) -> OptimizerServer {
-    let mut config = ServerConfig::collaborative(u64::MAX);
-    config.shards = shards;
-    OptimizerServer::open(config, DurabilityConfig::new(dir))
+    OptimizerServer::open(config_for(shards), DurabilityConfig::new(dir))
         .unwrap()
         .0
-}
-
-fn assert_sharded_fsck_clean(dir: &std::path::Path, shards: usize) {
-    let report = co_graph::fsck::check_sharded_data_dir(dir, shards, true).unwrap();
-    assert!(report.is_clean(), "{report}");
 }
 
 /// 8 publishers × 6 pseudo-random cross-shard workloads each, at both a
@@ -137,84 +99,81 @@ fn concurrent_random_subset_publishes_never_deadlock() {
         drop(server);
         let reopened = open_sharded(shards, &dir);
         assert_eq!(fingerprint(&reopened), committed, "shards = {shards}");
-        assert_sharded_fsck_clean(&dir, shards);
+        assert_fsck_clean(&reopened, &dir);
     }
 }
 
-/// Crash points under pre-existing concurrent state: after a stress
-/// phase, a crash anywhere in the journaling of one more cross-shard
-/// publish rolls exactly that publish back — everything the concurrent
-/// phase committed survives.
+/// Crash cuts under pre-existing concurrent state: after a stress
+/// phase, the process dies at each I/O op of one more cross-shard
+/// publish in turn. Exactly that publish is rolled back — or, cut on
+/// the commit record's fsync, kept whole — and everything the
+/// concurrent phase committed survives. Each recovered directory then
+/// evicts and round-trips the evictions.
 #[test]
 fn crash_after_concurrent_stress_recovers_committed_prefix() {
     let shards = 8;
-    for point in [
-        CrashPoint::JournalMidAppend,
-        CrashPoint::ShardGapAppend,
-        CrashPoint::CommitPreAppend,
-    ] {
-        let dir = data_dir(&format!("stress_crash_{}", point.name()));
-        let server = Arc::new(open_sharded(shards, &dir));
-        crossbeam::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let server = Arc::clone(&server);
-                scope.spawn(move |_| {
-                    for i in 0..4u64 {
-                        server.run_workload(random_workload(t * 100 + i)).unwrap();
-                    }
-                });
-            }
-        })
+    // One more publish, guaranteed to span ≥ 2 shards so cuts between
+    // two shards' journal appends are reachable.
+    let spans = |dag: &WorkloadDag| -> usize {
+        let set: BTreeSet<usize> = dag
+            .nodes()
+            .iter()
+            .map(|n| shard_of(n.artifact, shards))
+            .collect();
+        set.len()
+    };
+    let victim_seed = (10_000..)
+        .find(|seed| spans(&random_workload(*seed)) >= 2)
         .unwrap();
-        let committed = fingerprint(&server);
-
-        // One more publish, guaranteed to span ≥ 2 shards so the
-        // between-appends point is reachable, with the crash armed.
-        let victim = (10_000..)
-            .map(random_workload)
-            .find(|dag| {
-                let set: BTreeSet<usize> = dag
-                    .nodes()
-                    .iter()
-                    .map(|n| shard_of(n.artifact, shards))
-                    .collect();
-                set.len() >= 2
+    let touched = spans(&random_workload(victim_seed));
+    let cuts = crash_at_every_op(
+        "stress_crash",
+        shards,
+        FsyncPolicy::Always,
+        |server| {
+            crossbeam::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    scope.spawn(move |_| {
+                        for i in 0..4u64 {
+                            server.run_workload(random_workload(t * 100 + i)).unwrap();
+                        }
+                    });
+                }
             })
             .unwrap();
-        let faults = Arc::new(FaultInjector::new());
-        server.set_fault_injector(Arc::clone(&faults));
-        faults.arm_crash(point);
-        let err = server.run_workload(victim).unwrap_err();
-        assert!(err.to_string().contains(point.name()), "{point:?}: {err}");
-        assert!(server.is_wedged());
-
-        let server = Arc::try_unwrap(server).ok().expect("threads joined");
-        drop(server);
-        let reopened = open_sharded(shards, &dir);
-        assert_eq!(fingerprint(&reopened), committed, "{point:?}");
-        assert_sharded_fsck_clean(&dir, shards);
-
-        // Eviction shares the commit path; prove it still round-trips
-        // after the recovery.
-        let evict: Vec<ArtifactId> = {
-            let guards = reopened.shards().read_all();
-            guards
-                .iter()
-                .flat_map(|g| g.storage().materialized_ids())
-                .take(2)
-                .collect()
-        };
-        for id in &evict {
-            reopened.evict_artifact(*id);
-        }
-        let after = fingerprint(&reopened);
-        for id in &evict {
-            assert!(!after[&id.0].1, "{id:?} still materialized");
-        }
-        drop(reopened);
-        let third = open_sharded(shards, &dir);
-        assert_eq!(fingerprint(&third), after, "{point:?}: eviction durable");
-    }
+        },
+        |server| {
+            let _ = server.run_workload(random_workload(victim_seed));
+        },
+        |reopened| {
+            // Eviction shares the commit path; it round-trips on the
+            // directory this cut left behind (the helper's next open
+            // asserts the evictions are durable). A reopened server holds
+            // restored mat flags, not contents.
+            let evict: Vec<ArtifactId> = {
+                let guards = reopened.shards().read_all();
+                guards
+                    .iter()
+                    .flat_map(|g| {
+                        g.vertices()
+                            .map(|v| v.id)
+                            .filter(move |id| g.was_materialized(*id))
+                    })
+                    .take(2)
+                    .collect()
+            };
+            assert!(!evict.is_empty());
+            for id in &evict {
+                reopened.evict_artifact(*id);
+            }
+            let after = fingerprint(reopened);
+            for id in &evict {
+                assert!(!after.mat.contains(&id.0), "{id:?} still materialized");
+            }
+        },
+    );
+    assert_eq!(cuts.len(), 2 * touched + 2);
+    assert_eq!(recovered_at(&cuts), [cuts.len() - 1]);
 }
 
 /// Threshold compaction under concurrency: with a 1-byte journal
@@ -226,11 +185,9 @@ fn crash_after_concurrent_stress_recovers_committed_prefix() {
 fn threshold_compaction_under_concurrency_is_deadlock_free() {
     let shards = 8;
     let dir = data_dir("stress_compact");
-    let mut config = ServerConfig::collaborative(u64::MAX);
-    config.shards = shards;
     let mut durability = DurabilityConfig::new(&dir);
     durability.compact_journal_bytes = 1;
-    let (server, _) = OptimizerServer::open(config, durability).unwrap();
+    let (server, _) = OptimizerServer::open(config_for(shards), durability).unwrap();
     let server = Arc::new(server);
     crossbeam::thread::scope(|scope| {
         for t in 0..4u64 {
@@ -248,10 +205,9 @@ fn threshold_compaction_under_concurrency_is_deadlock_free() {
     let server = Arc::try_unwrap(server).ok().expect("threads joined");
     drop(server);
 
-    let mut config2 = ServerConfig::collaborative(u64::MAX);
-    config2.shards = shards;
-    let (reopened, recovery) = OptimizerServer::open(config2, DurabilityConfig::new(&dir)).unwrap();
+    let (reopened, recovery) =
+        OptimizerServer::open(config_for(shards), DurabilityConfig::new(&dir)).unwrap();
     assert!(recovery.snapshot_loaded);
     assert_eq!(fingerprint(&reopened), committed);
-    assert_sharded_fsck_clean(&dir, shards);
+    assert_fsck_clean(&reopened, &dir);
 }
