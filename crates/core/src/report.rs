@@ -74,20 +74,23 @@ pub struct RecoveryReport {
     /// Whether any shard's snapshot file existed and loaded.
     pub snapshot_loaded: bool,
     /// Per-shard journal records applied on top of the snapshots: those
-    /// beyond their shard's snapshot watermark *and* sealed by a commit
-    /// record. A publish touching k shards contributes k — count
+    /// beyond their shard's snapshot watermark *and* committed (every
+    /// shard in the record's shard set holds it or covers it with a
+    /// watermark). A publish touching k shards contributes k — count
     /// publishes with `committed_publishes`.
     pub journal_records_replayed: usize,
     /// Journal records skipped because they were already inside a shard
-    /// snapshot's watermark or belonged to a publish the commit log
-    /// never committed (rolled back).
+    /// snapshot's watermark or belonged to a publish that never
+    /// committed (rolled back).
     pub journal_records_skipped: usize,
-    /// Distinct committed publishes named by the commit log.
+    /// Distinct committed sequence numbers found in the journals: the
+    /// publishes (and evictions) since each shard's last compaction.
     pub committed_publishes: usize,
-    /// Whether a torn tail (crash mid-append) was detected and truncated
-    /// in any journal or the commit log.
+    /// Whether a journal tail was truncated: a torn record (crash
+    /// mid-append) and/or the uncommitted records of a publish the
+    /// crash interrupted.
     pub torn_tail_truncated: bool,
-    /// Bytes discarded with the torn tail(s).
+    /// Bytes discarded with the truncated tail(s).
     pub torn_bytes_discarded: u64,
     /// Quarantine entries re-installed from persistence.
     pub quarantine_restored: usize,

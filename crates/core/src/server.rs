@@ -12,8 +12,10 @@
 //! planning takes every shard's read lock and serves through an
 //! [`EgView`], while publishing locks only the shards a workload
 //! touches — in ascending shard order, so two publishers can never
-//! deadlock — and journals each shard's delta separately, sealed by a
-//! commit record (DESIGN.md §10).
+//! deadlock — and journals each shard's delta separately, each record
+//! naming the publish's shard set so that the records together are the
+//! commit decision (DESIGN.md §10). Compaction snapshots one shard at a
+//! time under that shard's lock alone.
 
 use crate::cost::CostModel;
 use crate::executor::{self, ExecutorConfig};
@@ -25,14 +27,11 @@ use crate::materialize::{
 use crate::optimizer::{AllMaterializedReuse, HelixReuse, LinearReuse, NoReuse, ReusePlanner};
 use crate::pipeline::{ExecutedWorkload, FailedExecution, PlannedWorkload, PrunedWorkload};
 use crate::report::{ExecutionReport, RecoveryReport};
-use co_graph::journal::{
-    self, EgDelta, FramedLog, FsyncPolicy, Journal, LogRecord, QuarantineEntry, VertexTouch,
-};
+use co_graph::journal::{self, EgDelta, FsyncPolicy, Journal, QuarantineEntry, VertexTouch};
 use co_graph::shard::{self, ShardedEg};
 use co_graph::{
-    snapshot, ArtifactId, ColdStore, CommitLog, CommitRecord, EgView, ExperimentGraph,
-    FaultInjector, GraphError, OpHash, OpRef, Result, ScrubOutcome, ShardWriteGuard, Value,
-    WorkloadDag,
+    snapshot, ArtifactId, ColdStore, EgView, ExperimentGraph, FaultInjector, GraphError, OpHash,
+    OpRef, Result, ScrubOutcome, ShardWriteGuard, Value, WorkloadDag,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -164,17 +163,17 @@ impl ServerConfig {
 /// Where and how the Experiment Graph is made crash-safe (see
 /// DESIGN.md §10). The data directory holds one snapshot + write-ahead
 /// journal pair per shard (`eg-k.egsnap`, written atomically, and
-/// `eg-k.wal`, appended inside the publish critical section) plus the
-/// commit log (`eg.commit`) — for every shard count, 1 included.
+/// `eg-k.wal`, appended inside the publish critical section) — for
+/// every shard count, 1 included.
 /// Opening a directory with the wrong shard count is an error, not
 /// silent misrouting.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Data directory; created on open if missing.
     pub dir: PathBuf,
-    /// When journal and commit-log appends reach the disk.
+    /// When journal appends reach the disk.
     pub fsync: FsyncPolicy,
-    /// Compact (snapshot + truncate the journals) once any one shard's
+    /// Compact a shard (snapshot it + truncate its journal) once its
     /// journal exceeds this many bytes.
     pub compact_journal_bytes: u64,
     /// Mirror materialized dataset artifacts into per-artifact cold
@@ -277,33 +276,30 @@ impl DurabilityHealth {
     }
 }
 
-/// One publish awaiting re-append: its per-shard deltas (ascending
-/// shard order), the commit record that seals it, and the
+/// One publish awaiting re-append: its sequence number, its per-shard
+/// deltas (ascending shard order, each naming the whole set), and the
 /// persisted-quarantine map to install once it lands.
 struct Backlog {
+    seq: u64,
     deltas: Vec<(usize, EgDelta)>,
-    record: CommitRecord,
     quarantine: Option<HashMap<OpHash, usize>>,
 }
 
 /// Durability state of a server opened from a data directory. Lock
 /// order within a publish: shard write locks (ascending) →
 /// `persisted_quarantine` → per-shard journal mutexes (ascending) →
-/// commit-log mutex → stats. The
-/// `backlog` mutex is only ever taken with none of those held (the
-/// publish path drops the quarantine guard before backlogging; repair
-/// holds `backlog` outermost and takes the others transiently).
+/// stats. The `backlog` mutex is only ever taken with none of those
+/// held (the publish path drops the quarantine guard before
+/// backlogging; repair holds `backlog` outermost and takes the others
+/// transiently).
 struct Durability {
     config: DurabilityConfig,
     /// One write-ahead journal per shard.
     journals: Vec<parking_lot::Mutex<Journal>>,
-    /// The commit log: a publish is committed iff its sequence number
-    /// appears here. Always locked last.
-    commit: parking_lot::Mutex<CommitLog>,
     /// Quarantine entries as last durably persisted (op_hash →
     /// failures) — the baseline the publish path diffs against to emit
-    /// Q+/Q- records. Advanced only after the commit record lands, so
-    /// recovery's view matches.
+    /// Q+/Q- records. Advanced only after the publish's last record
+    /// lands, so recovery's view matches.
     persisted_quarantine: parking_lot::Mutex<HashMap<OpHash, usize>>,
     /// Graded health (the [`DurabilityHealth::as_u64`] code, narrowed
     /// to u8): a failed append does not wedge the server — the publish
@@ -319,7 +315,9 @@ struct Durability {
     repair_attempts: AtomicUsize,
     /// Last assigned publish sequence number. Incremented only while
     /// the touched shards' write locks are held, so every shard journal
-    /// sees its subset of sequence numbers in increasing order.
+    /// sees its subset of sequence numbers in increasing order, and a
+    /// compaction reading it under shard k's lock gets a watermark that
+    /// covers every publish that ever held k.
     seq: AtomicU64,
 }
 
@@ -341,13 +339,13 @@ impl Durability {
     /// outermost and takes the quarantine map while draining).
     fn defer(
         &self,
+        seq: u64,
         deltas: Vec<(usize, EgDelta)>,
-        record: CommitRecord,
         quarantine: Option<HashMap<OpHash, usize>>,
     ) -> GraphError {
         self.backlog.lock().push(Backlog {
+            seq,
             deltas,
-            record,
             quarantine,
         });
         self.set_health(DurabilityHealth::ReadOnly);
@@ -380,13 +378,14 @@ pub struct ServerStats {
     /// Vertices salvaged into the Experiment Graph from failed runs.
     pub salvaged_artifacts: usize,
     /// Per-shard journal records applied during startup recovery: those
-    /// beyond their shard's snapshot watermark *and* sealed by a commit
-    /// record. A publish touching k shards contributes k.
+    /// beyond their shard's snapshot watermark *and* committed. A
+    /// publish touching k shards contributes k.
     pub journal_records_replayed: usize,
-    /// Log files (journals or the commit log) whose torn tail was
-    /// truncated during recovery.
+    /// Journals whose torn or uncommitted tail was truncated during
+    /// recovery.
     pub torn_tail_truncated: usize,
-    /// Snapshot compactions performed (explicit or threshold-triggered).
+    /// Compaction passes performed: each explicit compaction, and each
+    /// publish whose threshold check compacted at least one shard.
     pub snapshots_compacted: usize,
     /// Durability health at the moment of the stats read —
     /// [`DurabilityHealth::as_u64`] (0 healthy, 1 read-only, 2 wedged).
@@ -611,22 +610,22 @@ impl OptimizerServer {
 
     /// Open a crash-safe server from a data directory: remove orphaned
     /// temp files, load the newest valid per-shard snapshots, replay the
-    /// commit log and then the per-shard journals on top (truncating
-    /// torn tails instead of failing), re-install the persisted
-    /// quarantine set, and start journaling committed workloads. Returns
-    /// the server and a [`RecoveryReport`] describing what recovery
-    /// found and repaired.
+    /// per-shard journals on top (truncating torn and uncommitted tails
+    /// instead of failing), re-install the persisted quarantine set, and
+    /// start journaling committed workloads. Returns the server and a
+    /// [`RecoveryReport`] describing what recovery found and repaired.
     ///
     /// Recovery (`co_graph::shard::recover_shards`) reconstructs exactly
-    /// the committed prefix: per-shard journal records whose publish
-    /// never reached the commit log are skipped, so a crash between two
-    /// shards' appends rolls the whole publish back.
+    /// the committed prefix: a journal record is skipped unless every
+    /// shard its publish touched holds the record or covers it with a
+    /// snapshot watermark, so a crash between two shards' appends rolls
+    /// the whole publish back.
     ///
     /// # Errors
     ///
     /// [`GraphError::InvalidStructure`] when the directory was written
-    /// with a different shard count than `config.shards`, or holds the
-    /// retired single-journal layout (`eg.wal` / `eg.egsnap`);
+    /// with a different shard count than `config.shards`, or holds a
+    /// file of a retired layout (`eg.wal` / `eg.egsnap` / `eg.commit`);
     /// corruption and I/O errors from recovery.
     pub fn open(
         config: ServerConfig,
@@ -691,7 +690,6 @@ impl OptimizerServer {
                     .map(parking_lot::Mutex::new)
             })
             .collect::<Result<Vec<_>>>()?;
-        let commit = CommitLog::open(&dir.join(shard::COMMIT_FILE), durability.fsync)?;
         let cold = durability
             .cold_columns
             .then(|| ColdStore::open(&durability.cold_dir()))
@@ -709,7 +707,6 @@ impl OptimizerServer {
         server.durability = Some(Durability {
             config: durability,
             journals,
-            commit: parking_lot::Mutex::new(commit),
             persisted_quarantine: parking_lot::Mutex::new(
                 rec.quarantine
                     .iter()
@@ -833,11 +830,11 @@ impl OptimizerServer {
     ///
     /// On a durable server ([`OptimizerServer::open`]) each touched
     /// shard's journal receives its own delta under one shared sequence
-    /// number inside the same critical section, and the publish becomes
-    /// durable exactly when the commit record lands. If persisting
-    /// fails, the workload is reported failed, its delta joins the
-    /// in-memory backlog and the durability layer turns read-only until
-    /// repair drains it (DESIGN.md §10).
+    /// number and shard set inside the same critical section, and the
+    /// publish becomes durable exactly when its last record lands. If
+    /// persisting fails, the workload is reported failed, its delta
+    /// joins the in-memory backlog and the durability layer turns
+    /// read-only until repair drains it (DESIGN.md §10).
     pub fn publish_workload(
         &self,
         executed: ExecutedWorkload,
@@ -915,7 +912,7 @@ impl OptimizerServer {
                 .fold_publish(&report, 0.0, failure.as_ref(), false);
         } else {
             // Ordered-lock protocol: ascending shard indices, held
-            // through merge, materialization, journaling and commit.
+            // through merge, materialization and journaling.
             let shard_list: Vec<usize> = touched.into_iter().collect();
             let mut guards = self.eg.write_set(&shard_list);
             // Shard index → position in `guards` (unlocked: usize::MAX).
@@ -1013,19 +1010,20 @@ impl OptimizerServer {
         report.materializer_seconds = start.elapsed().as_secs_f64();
 
         // Threshold compaction runs after the publish locks are
-        // released: compaction takes every shard lock and parking_lot
-        // locks are not reentrant. A failure here is survivable — the
-        // deltas are already durable in the journals and an interrupted
-        // snapshot save only leaves a temp file — so it is swallowed
-        // and the next publish retries.
+        // released (parking_lot locks are not reentrant) and compacts
+        // only the shards whose journal crossed the threshold. A failure
+        // here is survivable — the deltas are already durable in the
+        // journals and an interrupted snapshot save only leaves a temp
+        // file — so it is swallowed and the next publish retries.
         if let (None, Some(dur)) = (&persist_error, durability) {
-            if dur.health() == DurabilityHealth::Healthy
-                && dur
-                    .journals
-                    .iter()
-                    .any(|j| j.lock().len_bytes() > dur.config.compact_journal_bytes)
-            {
-                let _ = self.compact();
+            let mut compacted = false;
+            for k in 0..self.eg.n_shards() {
+                if dur.journals[k].lock().len_bytes() > dur.config.compact_journal_bytes {
+                    compacted |= self.compact_shard(dur, k).is_ok();
+                }
+            }
+            if compacted {
+                self.stats[0].lock().snapshots_compacted += 1;
             }
         }
 
@@ -1109,10 +1107,10 @@ impl OptimizerServer {
         }
     }
 
-    /// Append this publish's per-shard journal deltas and the commit
-    /// record. Called with the touched shards' write locks held
-    /// (ascending); journal mutexes are taken in the same ascending
-    /// order, the commit-log mutex last.
+    /// Append this publish's per-shard journal deltas, each naming the
+    /// publish's shard set. Called with the touched shards' write locks
+    /// held (ascending); journal mutexes are taken in the same ascending
+    /// order.
     fn persist(
         &self,
         dur: &Durability,
@@ -1140,7 +1138,7 @@ impl OptimizerServer {
         }
         // Quarantine records are confined to shard 0. The diff is
         // recomputed against the pre-lock snapshot under the persisted
-        // map's lock, which stays held until the commit record lands so
+        // map's lock, which stays held until the last record lands so
         // the map only ever advances for durable publishes.
         let mut persisted = quarantine_dirty.then(|| dur.persisted_quarantine.lock());
         if let Some(persisted) = &persisted {
@@ -1158,19 +1156,20 @@ impl OptimizerServer {
         // numbers appear in increasing order.
         let seq = dur.seq.fetch_add(1, Ordering::SeqCst) + 1;
         let faults = guards[0].1.storage().fault_injector().map(Arc::clone);
-        let mut pending: Vec<(usize, EgDelta)> = Vec::new();
-        for (gi, (k, _)) in guards.iter().enumerate() {
-            if deltas[gi].is_empty() {
-                continue;
-            }
-            let mut delta = std::mem::take(&mut deltas[gi]);
-            delta.seq = Some(seq);
-            pending.push((*k, delta));
-        }
+        let mut pending: Vec<(usize, EgDelta)> = guards
+            .iter()
+            .zip(deltas)
+            .filter(|(_, delta)| !delta.is_empty())
+            .map(|((k, _), delta)| (*k, delta))
+            .collect();
         if pending.is_empty() {
             return Ok(());
         }
-        let record = CommitRecord::new(seq, pending.iter().map(|(k, _)| *k));
+        let shards: Vec<usize> = pending.iter().map(|(k, _)| *k).collect();
+        for (_, delta) in &mut pending {
+            delta.seq = seq;
+            delta.shards.clone_from(&shards);
+        }
         // The persisted-quarantine map this publish installs once it is
         // durable — either immediately below, or at backlog-drain time.
         let quarantine_target: Option<HashMap<OpHash, usize>> = persisted.is_some().then(|| {
@@ -1186,16 +1185,15 @@ impl OptimizerServer {
         // repaired) journals must not be touched from here.
         if dur.health() == DurabilityHealth::ReadOnly {
             persisted.take();
-            return Err(dur.defer(pending, record, quarantine_target));
+            return Err(dur.defer(seq, pending, quarantine_target));
         }
 
         let appended = pending
             .iter()
-            .try_for_each(|(k, delta)| dur.journals[*k].lock().append(delta, faults.as_deref()))
-            .and_then(|()| dur.commit.lock().append(&record, faults.as_deref()));
+            .try_for_each(|(k, delta)| dur.journals[*k].lock().append(delta, faults.as_deref()));
         if appended.is_err() {
             persisted.take();
-            return Err(dur.defer(pending, record, quarantine_target));
+            return Err(dur.defer(seq, pending, quarantine_target));
         }
         if let (Some(persisted), Some(target)) = (&mut persisted, quarantine_target) {
             **persisted = target;
@@ -1203,56 +1201,68 @@ impl OptimizerServer {
         Ok(())
     }
 
-    /// Compact durable state now: take every shard's write lock, write
-    /// one watermarked snapshot per shard (atomically; shard 0's carries
-    /// the quarantine set), reset the per-shard journals, and reset the
-    /// commit log *last*: a crash anywhere in between leaves snapshots
-    /// whose watermarks already cover every committed sequence number,
-    /// so replay skips the stale records. A no-op `Ok(())` on a server
-    /// without durability.
+    /// Compact durable state now: every shard in turn, each under its
+    /// own write lock alone — snapshot it, then reset its journal — so
+    /// publishes to the other shards proceed meanwhile. A no-op
+    /// `Ok(())` on a server without durability; the read-only or
+    /// wedged error when the layer is degraded.
     pub fn compact(&self) -> Result<()> {
-        match self.durability_health() {
+        let Some(dur) = &self.durability else {
+            return Ok(());
+        };
+        for k in 0..self.eg.n_shards() {
+            self.compact_shard(dur, k)?;
+        }
+        self.stats[0].lock().snapshots_compacted += 1;
+        Ok(())
+    }
+
+    /// Compact shard `k` under its write lock alone: check the layer is
+    /// healthy, write the shard's snapshot (atomically; shard 0's
+    /// carries the quarantine set) watermarked with the sequence
+    /// counter, and reset its journal. Every publish that ever held `k`
+    /// with a sequence number at or below the counter has finished —
+    /// publishers hold their shard locks from seq assignment until
+    /// their last record lands or the layer turns read-only — so the
+    /// snapshot covers all of them. Health is checked under the lock,
+    /// not before it: a publish that failed in between left its partial
+    /// effect in memory, which the watermark must never cover. A crash
+    /// between snapshot and reset leaves records the watermark already
+    /// covers, which replay skips.
+    fn compact_shard(&self, dur: &Durability, k: usize) -> Result<()> {
+        let g = self.eg.write(k);
+        match dur.health() {
             DurabilityHealth::Healthy => {}
             DurabilityHealth::ReadOnly => {
                 return Err(GraphError::read_only(READ_ONLY_RETRY_HINT_MS))
             }
             DurabilityHealth::Wedged => return Err(GraphError::Io(WEDGED_MSG.to_owned())),
         }
-        let Some(dur) = &self.durability else {
-            return Ok(());
+        let watermark = dur.seq.load(Ordering::SeqCst);
+        // Quarantine entries persist in shard 0 only.
+        let entries = if k == 0 {
+            sorted_quarantine_entries(self.quarantine.as_deref())
+        } else {
+            Vec::new()
         };
-        {
-            let guards = self.eg.write_all();
-            // Every sequence number at or below the counter belongs to
-            // a finished publish (publishers hold their shard locks
-            // from seq assignment to commit, and we hold all of them).
-            let watermark = dur.seq.load(Ordering::SeqCst);
-            let entries = sorted_quarantine_entries(self.quarantine.as_deref());
-            let faults = guards[0].storage().fault_injector().map(Arc::clone);
-            for (k, g) in guards.iter().enumerate() {
-                // Quarantine entries persist in shard 0 only.
-                let q: &[QuarantineEntry] = if k == 0 { &entries } else { &[] };
-                snapshot::save_shard_with(
-                    g,
-                    q,
-                    watermark,
-                    &dur.config.dir.join(shard::shard_snapshot_file(k)),
-                    faults.as_deref(),
-                )?;
-            }
-            for journal in &dur.journals {
-                journal.lock().reset(faults.as_deref())?;
-            }
-            dur.commit.lock().reset(faults.as_deref())?;
+        let faults = g.storage().fault_injector().map(Arc::clone);
+        snapshot::save_shard_with(
+            &g,
+            &entries,
+            watermark,
+            &dur.config.dir.join(shard::shard_snapshot_file(k)),
+            faults.as_deref(),
+        )?;
+        dur.journals[k].lock().reset(faults.as_deref())?;
+        if k == 0 {
             *dur.persisted_quarantine.lock() =
                 entries.iter().map(|q| (q.op_hash, q.failures)).collect();
         }
-        self.stats[0].lock().snapshots_compacted += 1;
         Ok(())
     }
 
     /// Graceful-drain hook: flush all durable state to disk — snapshot
-    /// the current graph and quarantine set atomically and truncate the
+    /// every shard and the quarantine set atomically and truncate the
     /// journals (exactly [`compact`]), so a post-drain data directory is
     /// a clean snapshot set. A no-op `Ok(())` without durability; an
     /// error if the durability layer is wedged or the snapshot fails.
@@ -1348,8 +1358,8 @@ impl OptimizerServer {
 
     /// Attempt to return a read-only durability layer to `Healthy`:
     /// discard stray temp files, truncate torn tails, reopen every
-    /// journal and the commit log on fresh handles, re-append the
-    /// in-memory backlog in sequence order, and sync.
+    /// journal on a fresh handle, re-append the in-memory backlog in
+    /// sequence order, and sync.
     ///
     /// Returns `Ok(true)` when a repair ran and the layer is healthy
     /// again, `Ok(false)` when there was nothing to repair (already
@@ -1629,7 +1639,7 @@ impl OptimizerServer {
     /// Evict one artifact's content from the store (returns bytes
     /// freed). Reuse plans drawn before the eviction degrade to
     /// recomputation via the executor's load-miss fallback. On a durable
-    /// server the mat-flag change is journaled and committed like any
+    /// server the mat-flag change is journaled like a one-shard
     /// publish, so a restart does not resurrect the flag.
     pub fn evict_artifact(&self, id: ArtifactId) -> u64 {
         let k = self.eg.shard_index(id);
@@ -1654,20 +1664,19 @@ impl OptimizerServer {
         }
         let seq = dur.seq.fetch_add(1, Ordering::SeqCst) + 1;
         let delta = EgDelta {
-            seq: Some(seq),
+            seq,
+            shards: vec![k],
             mat_removed: vec![id],
             ..EgDelta::default()
         };
-        let record = CommitRecord::new(seq, [k]);
-        // A read-only layer queues the record without touching the logs.
+        // A read-only layer queues the record without touching the journal.
         let appended = dur.health() == DurabilityHealth::Healthy
             && dur.journals[k]
                 .lock()
                 .append(&delta, faults.as_deref())
-                .and_then(|()| dur.commit.lock().append(&record, faults.as_deref()))
                 .is_ok();
         if !appended {
-            let _ = dur.defer(vec![(k, delta)], record, None);
+            let _ = dur.defer(seq, vec![(k, delta)], None);
         }
         bytes
     }
@@ -1741,14 +1750,14 @@ fn remove_stray_tmps(dir: &Path, faults: Option<&FaultInjector>) -> usize {
 /// One repair pass over the durability layer (the backlog mutex is held
 /// by the caller — it is the repair critical section): sweep stray temp
 /// files, truncate any torn tail the failed write left, reopen every
-/// journal and the commit log on fresh handles (a failed fsync poisons
-/// the old one — fsyncgate — so the *handle itself* must be replaced),
-/// then drain the backlog in publish (sequence) order — entries can
-/// arrive out of order under concurrent failing publishers — and sync.
-/// A failure part-way is safe: the drained prefix is durable, the rest
-/// stays backlogged; a partially drained entry re-appends in full next
-/// pass — journal replay is idempotent and duplicate commit seqs are
-/// harmless.
+/// journal on a fresh handle (a failed fsync poisons the old one —
+/// fsyncgate — so the *handle itself* must be replaced), then drain the
+/// backlog in publish (sequence) order — entries can arrive out of
+/// order under concurrent failing publishers — and sync. A failure
+/// part-way is safe: the drained prefix is durable, the rest stays
+/// backlogged, and the records a partly drained entry left are an
+/// uncommitted journal tail until the entry re-appends in full next
+/// pass — journal replay is idempotent, so the duplicates are harmless.
 fn repair_logs(
     dur: &Durability,
     backlog: &mut Vec<Backlog>,
@@ -1758,40 +1767,25 @@ fn repair_logs(
     remove_stray_tmps(dir, faults);
     for (k, slot) in dur.journals.iter().enumerate() {
         let path = dir.join(shard::shard_journal_file(k));
-        *slot.lock() = reopen_log(&path, dur.config.fsync, faults)?;
+        let mut journal = slot.lock();
+        if let Some(valid_len) = journal::replay_with(&path, k, faults)?.torn_at {
+            journal::truncate_with(&path, valid_len, faults)?;
+        }
+        *journal = Journal::open_with(&path, dur.config.fsync, faults)?;
     }
-    *dur.commit.lock() = reopen_log(&dir.join(shard::COMMIT_FILE), dur.config.fsync, faults)?;
-    backlog.sort_by_key(|e| e.record.seq);
+    backlog.sort_by_key(|e| e.seq);
     while !backlog.is_empty() {
-        {
-            let entry = &backlog[0];
-            for (k, delta) in &entry.deltas {
-                dur.journals[*k].lock().append(delta, faults)?;
-            }
-            dur.commit.lock().append(&entry.record, faults)?;
+        for (k, delta) in &backlog[0].deltas {
+            dur.journals[*k].lock().append(delta, faults)?;
         }
         let entry = backlog.remove(0);
         if let Some(q) = entry.quarantine {
             *dur.persisted_quarantine.lock() = q;
         }
     }
-    for slot in &dur.journals {
-        slot.lock().sync(faults)?;
-    }
-    dur.commit.lock().sync(faults)
-}
-
-/// Truncate whatever torn tail a failed write left in a log and reopen
-/// it on a fresh handle.
-fn reopen_log<R: LogRecord>(
-    path: &Path,
-    policy: FsyncPolicy,
-    faults: Option<&FaultInjector>,
-) -> Result<FramedLog<R>> {
-    if let Some(valid_len) = journal::replay_with::<R>(path, faults)?.torn_at {
-        journal::truncate_with(path, valid_len, faults)?;
-    }
-    FramedLog::open_with(path, policy, faults)
+    dur.journals
+        .iter()
+        .try_for_each(|slot| slot.lock().sync(faults))
 }
 
 /// What a durable publish notes per locked shard *before* merging, so

@@ -1,12 +1,13 @@
 //! `egfsck` — offline invariant checker for a durability directory.
 //!
-//! Detects the directory's shard count (`eg-<k>.egsnap` / `eg-<k>.wal` /
-//! `eg.commit`, DESIGN.md §10), loads the per-shard snapshots (if any),
-//! replays the commit log and the write-ahead journals read-only (a torn
-//! tail is reported, never truncated) to exactly the committed prefix,
-//! and checks every structural invariant of the recovered shards —
-//! vertex routing and cross-shard edge symmetry included — their content
-//! stores, and the persisted quarantine state.
+//! Detects the directory's shard count (`eg-<k>.egsnap` / `eg-<k>.wal`,
+//! DESIGN.md §10), loads the per-shard snapshots (if any), replays the
+//! write-ahead journals read-only to exactly the committed prefix (a
+//! record counts iff every shard in its shard set holds it or covers it
+//! with a snapshot watermark; a torn or uncommitted tail is reported,
+//! never truncated), and checks every structural invariant of the
+//! recovered shards — vertex routing and cross-shard edge symmetry
+//! included — their content stores, and the persisted quarantine state.
 //!
 //! ```text
 //! cargo run --example egfsck -- <data-dir> [--no-dedup] [--quiet]

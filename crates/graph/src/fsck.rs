@@ -194,11 +194,7 @@ pub fn detect_shard_layout(dir: &Path) -> Option<usize> {
     {
         n += 1;
     }
-    if n > 0 || dir.join(shard::COMMIT_FILE).exists() {
-        Some(n.max(1))
-    } else {
-        None
-    }
+    (n > 0).then_some(n)
 }
 
 /// Check every structural invariant across the shards of an
@@ -471,7 +467,7 @@ pub fn check_sharded_data_dir(dir: &Path, n_shards: usize, dedup: bool) -> Resul
     ));
     for (path, at, discarded) in &recovery.torn {
         report.notes.push(format!(
-            "{} has a torn tail at byte {at} ({discarded} byte(s) would be discarded on recovery)",
+            "{} has a torn or uncommitted tail at byte {at} ({discarded} byte(s) would be discarded on recovery)",
             path.display()
         ));
     }

@@ -1,36 +1,29 @@
-//! Write-ahead journals and the commit log of the Experiment Graph.
+//! The per-shard write-ahead journals of the Experiment Graph.
 //!
 //! The EG is the shared asset a collaborative environment accumulates
 //! over weeks (paper §3.2); a crash must not lose workloads committed
 //! since the last snapshot. Each committed workload's EG delta — new
 //! vertices, frequency bumps, materialization changes, quarantine
-//! changes — is appended to the journal of every shard it touched, and
-//! the publish is sealed by one record in the commit log, all inside
-//! the server's publish critical section. Recovery
+//! changes — is appended to the journal of every shard it touched,
+//! inside the server's publish critical section. Recovery
 //! (`crate::shard::recover_shards`) loads the newest valid snapshots,
-//! then [`replay`]s the logs on top, stopping at — and truncating — the
-//! first torn record instead of failing.
+//! then [`replay`]s the journals on top, stopping at — and truncating —
+//! the first torn record instead of failing.
 //!
-//! ## One framed log, two payloads
+//! ## Framing (`EGWAL 1`, `eg-<k>.wal`)
 //!
-//! Both files are a [`FramedLog`]: an 8-byte magic followed by records
+//! A [`Journal`] is an 8-byte magic followed by records
 //!
 //! ```text
 //! [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
 //! ```
 //!
-//! with a UTF-8 text payload. Open, append, fsync policy, torn-tail
-//! replay, reset and damage tracking exist once; the payload type
-//! ([`LogRecord`]) supplies the magic and the text encoding.
-//!
-//! ### Journal payload (`EGWAL 1`, `eg-<k>.wal`): [`EgDelta`]
-//!
-//! One line per delta entry, using the same field escaping as the
-//! snapshot format:
+//! whose UTF-8 text payload is one [`EgDelta`], one line per entry,
+//! using the same field escaping as the snapshot format:
 //!
 //! | line | meaning |
 //! |------|---------|
-//! | `S\t<seq>` | publish sequence number |
+//! | `S\t<seq>\t<shard,shard,…>` | publish sequence number and the publish's shard set (hex, strictly ascending) |
 //! | `V\t<10 vertex fields>` | a vertex new to the graph |
 //! | `F\t<id>\t<freq>\t<t>\t<s>\t<q>` | refreshed absolute attributes of an existing vertex |
 //! | `M+\t<id>` / `M-\t<id>` | artifact content materialized / evicted |
@@ -40,19 +33,17 @@
 //! record whose effects are already contained in a newer snapshot is
 //! idempotent.
 //!
-//! ### Commit-log payload (`EGCMT 1`, `eg.commit`): [`CommitRecord`]
+//! ## Commit without a commit log
 //!
-//! A publish appends one journal record per touched shard, all tagged
-//! with the same publish sequence number (`S` line). Atomicity across
-//! those appends is decided by the commit log: after the last per-shard
-//! append, one [`CommitRecord`] naming the sequence number and the
-//! touched shards is appended. Recovery replays the commit log first
-//! and then skips any per-shard record whose sequence number was never
-//! committed — a crash between per-shard appends (or before the commit
-//! record) therefore rolls the whole publish back, exactly. Under
-//! [`FsyncPolicy::Always`] the touched journals sync before the commit
-//! record does, so a durable commit record never seals a record that is
-//! not itself durable.
+//! A publish appends one record per touched shard, all carrying the
+//! same `S` line: its sequence number and the set of shards that
+//! receive a record. The records themselves are the commit decision
+//! (presumed-abort two-phase commit with no coordinator log): seq `s`
+//! is committed iff every shard in its set holds an intact record `s`
+//! or has a snapshot watermark ≥ `s`. A crash between two shards'
+//! appends therefore rolls the whole publish back, and recovery
+//! truncates the records it left (they are always the tail of their
+//! journals).
 
 use crate::artifact::ArtifactId;
 use crate::error::{GraphError, Result};
@@ -61,14 +52,10 @@ use crate::faults::FaultInjector;
 use crate::snapshot::{escape, parse_vertex_fields, unescape, vertex_fields, ParseCtx};
 use crate::vfs::{self, VfsFile};
 use std::fmt::Write as _;
-use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every journal file.
 pub const WAL_MAGIC: &[u8; 8] = b"EGWAL 1\n";
-
-/// Magic bytes opening every commit log.
-pub const COMMIT_MAGIC: &[u8; 8] = b"EGCMT 1\n";
 
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -103,8 +90,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// When log appends (journal records and commit records alike) reach
-/// the disk.
+/// When journal appends reach the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync after every append: a committed workload survives any crash.
@@ -163,14 +149,16 @@ impl VertexTouch {
     }
 }
 
-/// One committed workload's effect on the Experiment Graph — the unit
-/// of journaling and replay.
+/// One committed workload's effect on one shard of the Experiment
+/// Graph — the unit of journaling and replay.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EgDelta {
-    /// Publish sequence number — the key the commit log seals. Every
-    /// record the server writes carries one; recovery rejects a record
-    /// without.
-    pub seq: Option<u64>,
+    /// Publish sequence number, shared by every record of one publish.
+    pub seq: u64,
+    /// The publish's shard set, strictly ascending: every shard whose
+    /// journal receives a record `seq`. It is the commit decision —
+    /// see the module docs.
+    pub shards: Vec<usize>,
     /// Vertices this workload added, in parents-first order.
     pub new_vertices: Vec<EgVertex>,
     /// Existing vertices it touched (absolute values, replay-idempotent).
@@ -225,17 +213,12 @@ impl EgDelta {
         }
         Ok(())
     }
-}
 
-impl LogRecord for EgDelta {
-    const MAGIC: &'static [u8; MAGIC_LEN] = WAL_MAGIC;
-    const LOG_NAME: &'static str = "journal";
-
-    fn encode(&self) -> String {
-        let mut out = String::new();
-        if let Some(seq) = self.seq {
-            let _ = writeln!(out, "S\t{seq:x}");
-        }
+    /// Serialise the delta to its payload text.
+    #[must_use]
+    pub fn encode(&self) -> String {
+        let shards: Vec<String> = self.shards.iter().map(|k| format!("{k:x}")).collect();
+        let mut out = format!("S\t{:x}\t{}\n", self.seq, shards.join(","));
         for v in &self.new_vertices {
             let _ = writeln!(out, "V\t{}", vertex_fields(v));
         }
@@ -267,20 +250,36 @@ impl LogRecord for EgDelta {
         out
     }
 
-    fn decode(payload: &str, origin: &str, record: usize) -> Result<EgDelta> {
+    /// Parse a payload read from shard `shard`'s journal. `origin` and
+    /// `record` (1-based) name the file and record in any error. The
+    /// `S` line is mandatory, and its shard set must be non-empty,
+    /// strictly ascending and contain `shard`.
+    pub fn decode(payload: &str, shard: usize, origin: &str, record: usize) -> Result<EgDelta> {
         let ctx = ParseCtx { origin, record };
         let mut delta = EgDelta::default();
+        let mut stamped = false;
         for line in payload.lines() {
             if line.is_empty() {
                 continue;
             }
             let fields: Vec<&str> = line.split('\t').collect();
             match fields[0] {
-                "S" if fields.len() == 2 => {
-                    delta.seq = Some(
-                        u64::from_str_radix(fields[1], 16)
-                            .map_err(|_| ctx.err("bad sequence number in S entry"))?,
-                    );
+                "S" if fields.len() == 3 && !stamped => {
+                    stamped = true;
+                    delta.seq = u64::from_str_radix(fields[1], 16)
+                        .map_err(|_| ctx.err("bad sequence number in S entry"))?;
+                    for part in fields[2].split(',') {
+                        delta.shards.push(
+                            usize::from_str_radix(part, 16)
+                                .map_err(|_| ctx.err(format!("bad shard index {part:?}")))?,
+                        );
+                    }
+                    if delta.shards.windows(2).any(|w| w[0] >= w[1]) {
+                        return Err(ctx.err("S entry shard set is not strictly ascending"));
+                    }
+                    if !delta.shards.contains(&shard) {
+                        return Err(ctx.err(format!("S entry shard set omits shard {shard}")));
+                    }
                 }
                 "V" if fields.len() == 11 => {
                     delta
@@ -322,11 +321,14 @@ impl LogRecord for EgDelta {
                 ),
                 tag => {
                     return Err(ctx.err(format!(
-                        "unknown or malformed journal entry {tag:?} ({} fields)",
+                        "unknown, repeated or malformed journal entry {tag:?} ({} fields)",
                         fields.len()
                     )))
                 }
             }
+        }
+        if !stamped {
+            return Err(ctx.err("journal record carries no S entry"));
         }
         Ok(delta)
     }
@@ -338,75 +340,51 @@ fn parse_id(field: &str, ctx: &ParseCtx<'_>) -> Result<ArtifactId> {
         .map_err(|_| ctx.err(format!("bad artifact id {field:?}")))
 }
 
-fn io_err(what: &str, log: &str, path: &Path, e: &std::io::Error) -> GraphError {
-    GraphError::Io(format!("cannot {what} {log} {}: {e}", path.display()))
+fn io_err(what: &str, path: &Path, e: &std::io::Error) -> GraphError {
+    GraphError::Io(format!("cannot {what} journal {}: {e}", path.display()))
 }
 
-/// Length of every log's magic.
+/// Length of the journal magic.
 const MAGIC_LEN: usize = 8;
 
-/// What a [`FramedLog`] stores: one text payload per record, under the
-/// log's own magic. The per-shard journals and the commit log differ in
-/// exactly these items; framing, fsync policy, torn-tail replay, reset
-/// and damage tracking are shared.
-pub trait LogRecord: Sized {
-    /// Magic bytes opening the file.
-    const MAGIC: &'static [u8; MAGIC_LEN];
-    /// What error messages call the file.
-    const LOG_NAME: &'static str;
-
-    /// Serialise the record to its payload text.
-    fn encode(&self) -> String;
-
-    /// Parse a payload. `origin` and `record` (1-based) name the file
-    /// and record in any error.
-    fn decode(payload: &str, origin: &str, record: usize) -> Result<Self>;
-}
-
-/// An open, append-only log of length-prefixed, CRC-checksummed
-/// records. All I/O flows through [`crate::vfs`], so injected
-/// [`crate::faults::IoFault`]s surface here as ordinary errors — after
-/// any failed append the log marks itself *damaged* and refuses further
-/// appends until reopened (the file may hold a torn record, and
-/// appending past it would orphan every later record behind the tear).
+/// A shard's open, append-only write-ahead journal (`eg-<k>.wal`) of
+/// length-prefixed, CRC-checksummed [`EgDelta`] records. All I/O flows
+/// through [`crate::vfs`], so injected [`crate::faults::IoFault`]s
+/// surface here as ordinary errors — after any failed append the
+/// journal marks itself *damaged* and refuses further appends until
+/// reopened (the file may hold a torn record, and appending past it
+/// would orphan every later record behind the tear).
 #[derive(Debug)]
-pub struct FramedLog<R> {
+pub struct Journal {
     file: VfsFile,
     path: PathBuf,
     policy: FsyncPolicy,
     len: u64,
     damaged: bool,
-    _record: PhantomData<fn(&R)>,
 }
 
-/// A shard's write-ahead journal (`eg-<k>.wal`).
-pub type Journal = FramedLog<EgDelta>;
-
-/// The cross-shard commit log (`eg.commit`).
-pub type CommitLog = FramedLog<CommitRecord>;
-
-impl<R: LogRecord> FramedLog<R> {
-    /// Open (or create) a log for appending. A fresh or empty file gets
-    /// the magic written and synced; an existing file must open with a
-    /// valid magic — run [`replay`] (which reports torn tails, including
-    /// a torn magic, for [`truncate`]) before opening.
+impl Journal {
+    /// Open (or create) a journal for appending. A fresh or empty file
+    /// gets the magic written and synced; an existing file must open
+    /// with a valid magic — run [`replay`] (which reports torn tails,
+    /// including a torn magic, for [`truncate`]) before opening.
     pub fn open(path: &Path, policy: FsyncPolicy) -> Result<Self> {
         Self::open_with(path, policy, None)
     }
 
-    /// [`FramedLog::open`] with a fault injector consulted by the
-    /// open-time magic write/validation (repair paths reopen logs while
-    /// faults may still be armed).
+    /// [`Journal::open`] with a fault injector consulted by the
+    /// open-time magic write/validation (repair paths reopen journals
+    /// while faults may still be armed).
     pub fn open_with(
         path: &Path,
         policy: FsyncPolicy,
         faults: Option<&FaultInjector>,
     ) -> Result<Self> {
-        let err = |what, e| io_err(what, R::LOG_NAME, path, &e);
+        let err = |what, e| io_err(what, path, &e);
         let mut file = VfsFile::open_append(path, faults).map_err(|e| err("open", e))?;
         let mut len = file.len().map_err(|e| err("stat", e))?;
         if len == 0 {
-            file.write_all(R::MAGIC, faults)
+            file.write_all(WAL_MAGIC, faults)
                 .map_err(|e| err("initialise", e))?;
             file.sync(faults).map_err(|e| err("sync", e))?;
             len = MAGIC_LEN as u64;
@@ -416,20 +394,19 @@ impl<R: LogRecord> FramedLog<R> {
                 return Err(GraphError::corrupt(
                     path.display().to_string(),
                     0,
-                    format!("file shorter than the {} magic", R::LOG_NAME),
+                    "file shorter than the journal magic",
                 ));
             }
             file.read_exact(&mut magic, faults)
                 .map_err(|e| err("read", e))?;
-            check_magic::<R>(&magic, path)?;
+            check_magic(&magic, path)?;
         }
-        Ok(FramedLog {
+        Ok(Journal {
             file,
             path: path.to_path_buf(),
             policy,
             len,
             damaged: false,
-            _record: PhantomData,
         })
     }
 
@@ -439,15 +416,15 @@ impl<R: LogRecord> FramedLog<R> {
         self.len
     }
 
-    /// The log's file path.
+    /// The journal's file path.
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// Whether a failed append or sync has left this log in an unknown
-    /// on-disk state (possible torn record, poisoned handle). A damaged
-    /// log refuses appends until reopened by repair.
+    /// Whether a failed append or sync has left this journal in an
+    /// unknown on-disk state (possible torn record, poisoned handle). A
+    /// damaged journal refuses appends until reopened by repair.
     #[must_use]
     pub fn is_damaged(&self) -> bool {
         self.damaged || self.file.is_poisoned()
@@ -455,29 +432,24 @@ impl<R: LogRecord> FramedLog<R> {
 
     fn fail(&mut self, what: &str, e: &std::io::Error) -> GraphError {
         self.damaged = true;
-        io_err(what, R::LOG_NAME, &self.path, e)
+        io_err(what, &self.path, e)
     }
 
     /// Append one record as a length-prefixed, CRC-checksummed frame,
     /// honouring the fsync policy. Injected faults — I/O faults and
     /// crash cuts alike — fire inside the vfs write/sync calls; any
-    /// failure marks the log damaged.
-    pub fn append(&mut self, record: &R, faults: Option<&FaultInjector>) -> Result<()> {
+    /// failure marks the journal damaged.
+    pub fn append(&mut self, delta: &EgDelta, faults: Option<&FaultInjector>) -> Result<()> {
         if self.is_damaged() {
             return Err(GraphError::Io(format!(
-                "{} {} is damaged by an earlier failed append; reopen it before appending",
-                R::LOG_NAME,
+                "journal {} is damaged by an earlier failed append; reopen it before appending",
                 self.path.display()
             )));
         }
-        let payload = record.encode();
+        let payload = delta.encode();
         let bytes = payload.as_bytes();
         let len = u32::try_from(bytes.len()).map_err(|_| {
-            GraphError::Io(format!(
-                "{} record too large: {} bytes",
-                R::LOG_NAME,
-                bytes.len()
-            ))
+            GraphError::Io(format!("journal record too large: {} bytes", bytes.len()))
         })?;
         let mut frame = Vec::with_capacity(8 + bytes.len());
         frame.extend_from_slice(&len.to_le_bytes());
@@ -494,14 +466,15 @@ impl<R: LogRecord> FramedLog<R> {
     }
 
     /// Flush appended records to disk. A failed fsync poisons the
-    /// underlying handle (fsyncgate — see [`crate::vfs`]): the log is
-    /// damaged and must be reopened, never retried in place.
+    /// underlying handle (fsyncgate — see [`crate::vfs`]): the journal
+    /// is damaged and must be reopened, never retried in place.
     pub fn sync(&mut self, faults: Option<&FaultInjector>) -> Result<()> {
         self.file.sync(faults).map_err(|e| self.fail("sync", &e))
     }
 
-    /// Truncate the log back to just its magic and sync — called after
-    /// snapshots have durably captured everything it held (compaction).
+    /// Truncate the journal back to just its magic and sync — called
+    /// after the shard's snapshot has durably captured everything it
+    /// held (compaction).
     pub fn reset(&mut self, faults: Option<&FaultInjector>) -> Result<()> {
         self.file
             .set_len(MAGIC_LEN as u64, faults)
@@ -512,27 +485,32 @@ impl<R: LogRecord> FramedLog<R> {
     }
 }
 
-fn check_magic<R: LogRecord>(magic: &[u8], path: &Path) -> Result<()> {
-    if magic == R::MAGIC {
+fn check_magic(magic: &[u8], path: &Path) -> Result<()> {
+    if magic == WAL_MAGIC {
         return Ok(());
     }
     Err(GraphError::corrupt(
         path.display().to_string(),
         0,
-        format!("bad {} magic {magic:?}", R::LOG_NAME),
+        format!("bad journal magic {magic:?}"),
     ))
 }
 
-/// The result of scanning a log at startup.
+/// The result of scanning a journal at startup.
 #[derive(Debug)]
-pub struct Replay<R> {
+pub struct Replay {
     /// Fully verified records, in append order.
-    pub records: Vec<R>,
+    pub records: Vec<EgDelta>,
+    /// Byte offset at which each record's frame starts (parallel to
+    /// `records`): recovery truncates a journal at the first record of
+    /// its uncommitted tail.
+    pub starts: Vec<u64>,
     /// Byte offset where a torn tail begins (the file should be
     /// truncated to this length), if one was detected.
     pub torn_at: Option<u64>,
-    /// Bytes past `torn_at` that will be discarded.
-    pub bytes_discarded: u64,
+    /// Length of the file as read: truncating at `at` discards
+    /// `len - at` bytes.
+    pub len: u64,
 }
 
 /// Decode the 8-byte `(len, crc)` record header at `off`, or `None`
@@ -544,32 +522,34 @@ fn header_at(bytes: &[u8], off: usize) -> Option<(usize, u32)> {
     Some((u32::from_le_bytes(len) as usize, u32::from_le_bytes(crc)))
 }
 
-/// Scan a log file, verifying each record's length and CRC. A missing
-/// or empty file yields an empty outcome. A *torn tail* — a record
-/// whose frame is incomplete or whose CRC does not match, the signature
-/// of a crash mid-append — ends the scan; everything before it is
-/// returned and `torn_at` tells the caller where to truncate (a publish
-/// whose commit record is torn was never committed). A record that
-/// passes its CRC but does not parse is real corruption and is reported
-/// as an error naming the file and record number.
-pub fn replay<R: LogRecord>(path: &Path) -> Result<Replay<R>> {
-    replay_with(path, None)
+/// Scan shard `shard`'s journal, verifying each record's length and
+/// CRC. A missing or empty file yields an empty outcome. A *torn tail*
+/// — a record whose frame is incomplete or whose CRC does not match,
+/// the signature of a crash mid-append — ends the scan; everything
+/// before it is returned and `torn_at` tells the caller where to
+/// truncate. A record that passes its CRC but does not parse is real
+/// corruption and is reported as an error naming the file and record
+/// number.
+pub fn replay(path: &Path, shard: usize) -> Result<Replay> {
+    replay_with(path, shard, None)
 }
 
 /// [`replay`] with a fault injector consulted by the file read
 /// ([`crate::faults::IoFault::ReadErr`] makes the scan itself fail, as
 /// an unreadable sector would).
-pub fn replay_with<R: LogRecord>(path: &Path, faults: Option<&FaultInjector>) -> Result<Replay<R>> {
+pub fn replay_with(path: &Path, shard: usize, faults: Option<&FaultInjector>) -> Result<Replay> {
     let mut outcome = Replay {
         records: Vec::new(),
+        starts: Vec::new(),
         torn_at: None,
-        bytes_discarded: 0,
+        len: 0,
     };
     let bytes = match vfs::read(path, faults) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(outcome),
-        Err(e) => return Err(io_err("read", R::LOG_NAME, path, &e)),
+        Err(e) => return Err(io_err("read", path, &e)),
     };
+    outcome.len = bytes.len() as u64;
     if bytes.is_empty() {
         return Ok(outcome);
     }
@@ -577,7 +557,7 @@ pub fn replay_with<R: LogRecord>(path: &Path, faults: Option<&FaultInjector>) ->
     // everything is a torn tail.
     let mut off = 0;
     if bytes.len() >= MAGIC_LEN {
-        check_magic::<R>(&bytes[..MAGIC_LEN], path)?;
+        check_magic(&bytes[..MAGIC_LEN], path)?;
         off = MAGIC_LEN;
     }
     let origin = path.display().to_string();
@@ -588,92 +568,24 @@ pub fn replay_with<R: LogRecord>(path: &Path, faults: Option<&FaultInjector>) ->
         });
         let Some(payload) = payload else {
             outcome.torn_at = Some(off as u64);
-            outcome.bytes_discarded = (bytes.len() - off) as u64;
             break;
         };
         let record = outcome.records.len() + 1;
         let text = std::str::from_utf8(payload)
             .map_err(|_| GraphError::corrupt(&origin, record, "payload is not UTF-8"))?;
-        outcome.records.push(R::decode(text, &origin, record)?);
+        outcome
+            .records
+            .push(EgDelta::decode(text, shard, &origin, record)?);
+        outcome.starts.push(off as u64);
         off += 8 + payload.len();
     }
     Ok(outcome)
 }
 
-/// One committed publish: its sequence number and the shards whose
-/// journals hold its per-shard records. Appending this record to the
-/// commit log is the *commit point* of a publish.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitRecord {
-    /// The publish sequence number (matches the `S` line of every
-    /// per-shard journal record the publish wrote).
-    pub seq: u64,
-    /// Indices of the shards the publish touched, ascending.
-    pub shards: Vec<u32>,
-}
-
-impl CommitRecord {
-    /// The record sealing publish `seq` over the given (ascending) shard
-    /// indices.
-    #[must_use]
-    pub fn new(seq: u64, shards: impl IntoIterator<Item = usize>) -> Self {
-        CommitRecord {
-            seq,
-            shards: shards
-                .into_iter()
-                // co-lint:allow(no-panic) shard counts are small configuration values, far below u32::MAX
-                .map(|k| u32::try_from(k).expect("shard index fits u32"))
-                .collect(),
-        }
-    }
-}
-
-impl LogRecord for CommitRecord {
-    const MAGIC: &'static [u8; MAGIC_LEN] = COMMIT_MAGIC;
-    const LOG_NAME: &'static str = "commit log";
-
-    fn encode(&self) -> String {
-        let shards: Vec<String> = self.shards.iter().map(|s| format!("{s:x}")).collect();
-        format!("C\t{:x}\t{}\n", self.seq, shards.join(","))
-    }
-
-    fn decode(payload: &str, origin: &str, record: usize) -> Result<CommitRecord> {
-        let ctx = ParseCtx { origin, record };
-        let line = payload
-            .lines()
-            .next()
-            .ok_or_else(|| ctx.err("empty commit record"))?;
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 3 || fields[0] != "C" {
-            return Err(ctx.err(format!("malformed commit record {line:?}")));
-        }
-        let seq = u64::from_str_radix(fields[1], 16)
-            .map_err(|_| ctx.err("bad sequence number in commit record"))?;
-        let mut shards = Vec::new();
-        if !fields[2].is_empty() {
-            for part in fields[2].split(',') {
-                shards.push(
-                    u32::from_str_radix(part, 16)
-                        .map_err(|_| ctx.err(format!("bad shard index {part:?}")))?,
-                );
-            }
-        }
-        if shards.is_empty() {
-            return Err(ctx.err("commit record names no shards"));
-        }
-        if shards.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(ctx.err("commit record shards are not strictly ascending"));
-        }
-        if payload.lines().count() > 1 {
-            return Err(ctx.err("trailing lines after commit record"));
-        }
-        Ok(CommitRecord { seq, shards })
-    }
-}
-
-/// Truncate a log to `valid_len` bytes, discarding a torn tail found by
-/// [`replay`]. Lengths shorter than the magic truncate to empty (the
-/// next [`FramedLog::open`] re-initialises the file).
+/// Truncate a journal to `valid_len` bytes, discarding a torn or
+/// uncommitted tail found at recovery. Lengths shorter than the magic
+/// truncate to empty (the next [`Journal::open`] re-initialises the
+/// file).
 pub fn truncate(path: &Path, valid_len: u64) -> Result<()> {
     truncate_with(path, valid_len, None)
 }
@@ -686,7 +598,7 @@ pub fn truncate_with(path: &Path, valid_len: u64, faults: Option<&FaultInjector>
     } else {
         valid_len
     };
-    vfs::truncate(path, keep, faults).map_err(|e| io_err("truncate", "log", path, &e))
+    vfs::truncate(path, keep, faults).map_err(|e| io_err("truncate", path, &e))
 }
 
 #[cfg(test)]
@@ -721,7 +633,8 @@ mod tests {
 
     fn sample_delta() -> EgDelta {
         EgDelta {
-            seq: None,
+            seq: 0x1f,
+            shards: vec![0, 3, 0xb],
             new_vertices: vec![vertex(1, &[]), vertex(2, &[1])],
             touched: vec![VertexTouch {
                 id: ArtifactId(9),
@@ -741,6 +654,15 @@ mod tests {
         }
     }
 
+    /// A record that changes nothing, stamped for shard 0 alone.
+    fn stamped_empty() -> EgDelta {
+        EgDelta {
+            seq: 2,
+            shards: vec![0],
+            ..EgDelta::default()
+        }
+    }
+
     fn tmp(name: &str) -> PathBuf {
         let path = std::env::temp_dir().join(format!("co_graph_journal_{name}.wal"));
         let _ = fs::remove_file(&path);
@@ -757,16 +679,37 @@ mod tests {
     #[test]
     fn delta_round_trips_through_text() {
         let delta = sample_delta();
-        let decoded = EgDelta::decode(&delta.encode(), "<memory>", 1).unwrap();
-        assert_eq!(decoded, delta);
+        let encoded = delta.encode();
+        assert!(encoded.starts_with("S\t1f\t0,3,b\n"), "{encoded}");
+        for owner in [0, 3, 0xb] {
+            let decoded = EgDelta::decode(&encoded, owner, "<memory>", 1).unwrap();
+            assert_eq!(decoded, delta);
+        }
     }
 
     #[test]
     fn decode_rejects_garbage_with_record_context() {
-        let err = EgDelta::decode("X\t1", "w.wal", 7).unwrap_err();
+        let err = EgDelta::decode("X\t1", 0, "w.wal", 7).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("w.wal"), "{msg}");
         assert!(msg.contains('7'), "{msg}");
+        // A record's S line is its commit decision: without a valid
+        // shard set naming the record's own shard (1) it is corrupt.
+        for bad in [
+            "M+\t1",            // no S line
+            "S\t1",             // no shard set
+            "S\t1\t",           // empty shard set
+            "S\tzz\t1",         // bad sequence number
+            "S\t1\t3,1",        // descending
+            "S\t1\t1,1",        // duplicate
+            "S\t1\t0,2",        // owner absent
+            "S\t1\t1\nS\t2\t1", // two S lines
+        ] {
+            assert!(
+                EgDelta::decode(bad, 1, "<memory>", 1).is_err(),
+                "accepted {bad:?}"
+            );
+        }
     }
 
     #[test]
@@ -775,8 +718,8 @@ mod tests {
         let mut journal = Journal::open(&path, FsyncPolicy::Always).unwrap();
         let delta = sample_delta();
         journal.append(&delta, None).unwrap();
-        journal.append(&EgDelta::default(), None).unwrap();
-        let outcome = replay::<EgDelta>(&path).unwrap();
+        journal.append(&stamped_empty(), None).unwrap();
+        let outcome = replay(&path, 0).unwrap();
         assert_eq!(outcome.records.len(), 2);
         assert_eq!(outcome.records[0], delta);
         assert!(outcome.torn_at.is_none());
@@ -795,18 +738,44 @@ mod tests {
         bytes.extend_from_slice(&[42, 0, 0, 0, 1]);
         fs::write(&path, &bytes).unwrap();
 
-        let outcome = replay::<EgDelta>(&path).unwrap();
+        let outcome = replay(&path, 0).unwrap();
         assert_eq!(outcome.records.len(), 1);
         assert_eq!(outcome.torn_at, Some(good_len));
-        assert_eq!(outcome.bytes_discarded, 5);
+        assert_eq!(outcome.len - good_len, 5);
         truncate(&path, good_len).unwrap();
         // After truncation the journal is clean and appendable again.
-        let outcome = replay::<EgDelta>(&path).unwrap();
+        let outcome = replay(&path, 0).unwrap();
         assert_eq!(outcome.records.len(), 1);
         assert!(outcome.torn_at.is_none());
         let mut journal = Journal::open(&path, FsyncPolicy::Always).unwrap();
-        journal.append(&EgDelta::default(), None).unwrap();
-        assert_eq!(replay::<EgDelta>(&path).unwrap().records.len(), 2);
+        journal.append(&stamped_empty(), None).unwrap();
+        assert_eq!(replay(&path, 0).unwrap().records.len(), 2);
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn replay_reports_each_record_start_and_the_file_length() {
+        let path = tmp("starts");
+        let mut journal = Journal::open(&path, FsyncPolicy::Never).unwrap();
+        let mut ends = vec![journal.len_bytes()];
+        for _ in 0..3 {
+            journal.append(&stamped_empty(), None).unwrap();
+            ends.push(journal.len_bytes());
+        }
+        drop(journal);
+        let outcome = replay(&path, 0).unwrap();
+        assert_eq!(outcome.starts, ends[..3]);
+        assert_eq!(outcome.len, ends[3]);
+
+        // A torn frame gets no start: `starts` stays parallel to
+        // `records`, and `len` still covers the torn bytes.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[7, 0, 0]);
+        fs::write(&path, &bytes).unwrap();
+        let outcome = replay(&path, 0).unwrap();
+        assert_eq!(outcome.starts, ends[..3]);
+        assert_eq!(outcome.torn_at, Some(ends[3]));
+        assert_eq!(outcome.len, ends[3] + 3);
         fs::remove_file(&path).ok();
     }
 
@@ -823,7 +792,7 @@ mod tests {
         bytes[n - 1] ^= 0xFF; // flip a byte inside record 2's payload
         fs::write(&path, &bytes).unwrap();
 
-        let outcome = replay::<EgDelta>(&path).unwrap();
+        let outcome = replay(&path, 0).unwrap();
         assert_eq!(outcome.records.len(), 1);
         assert_eq!(outcome.torn_at, Some(first_len));
         fs::remove_file(&path).ok();
@@ -832,12 +801,12 @@ mod tests {
     #[test]
     fn missing_file_is_empty_and_reset_clears() {
         let path = tmp("reset");
-        assert!(replay::<EgDelta>(&path).unwrap().records.is_empty());
+        assert!(replay(&path, 0).unwrap().records.is_empty());
         let mut journal = Journal::open(&path, FsyncPolicy::Never).unwrap();
         journal.append(&sample_delta(), None).unwrap();
         journal.reset(None).unwrap();
         assert_eq!(journal.len_bytes(), WAL_MAGIC.len() as u64);
-        assert!(replay::<EgDelta>(&path).unwrap().records.is_empty());
+        assert!(replay(&path, 0).unwrap().records.is_empty());
         fs::remove_file(&path).ok();
     }
 
@@ -845,94 +814,29 @@ mod tests {
     fn bad_magic_is_reported_with_path() {
         let path = tmp("magic");
         fs::write(&path, b"NOTAWAL!record").unwrap();
-        let err = replay::<EgDelta>(&path).unwrap_err();
+        let err = replay(&path, 0).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("magic"), "{err}");
         fs::remove_file(&path).ok();
     }
 
+    /// A crash cut on an append's write leaves a torn record, and on
+    /// its fsync a whole one.
     #[test]
-    fn seq_line_round_trips() {
-        let mut delta = sample_delta();
-        delta.seq = Some(0x1f);
-        let encoded = delta.encode();
-        assert!(encoded.starts_with("S\t1f\n"), "{encoded}");
-        let decoded = EgDelta::decode(&encoded, "<memory>", 1).unwrap();
-        assert_eq!(decoded, delta);
-        // A delta without a sequence number encodes no S line at all.
-        assert!(!sample_delta().encode().contains("S\t"));
-    }
-
-    #[test]
-    fn commit_log_round_trips_and_detects_torn_tail() {
-        let path = std::env::temp_dir().join("co_graph_journal_commit.commit");
-        let _ = fs::remove_file(&path);
-        let mut log = CommitLog::open(&path, FsyncPolicy::Always).unwrap();
-        let a = CommitRecord {
-            seq: 1,
-            shards: vec![0, 3, 7],
-        };
-        let b = CommitRecord {
-            seq: 2,
-            shards: vec![2],
-        };
-        log.append(&a, None).unwrap();
-        let good_len = log.len_bytes();
-        log.append(&b, None).unwrap();
-        drop(log);
-        let replayed = replay::<CommitRecord>(&path).unwrap();
-        assert_eq!(replayed.records, vec![a.clone(), b]);
-        assert!(replayed.torn_at.is_none());
-        // Tear the second record: replay keeps exactly the prefix.
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let replayed = replay::<CommitRecord>(&path).unwrap();
-        assert_eq!(replayed.records, vec![a]);
-        assert_eq!(replayed.torn_at, Some(good_len));
-        truncate(&path, good_len).unwrap();
-        assert!(replay::<CommitRecord>(&path).unwrap().torn_at.is_none());
-        fs::remove_file(&path).ok();
-    }
-
-    /// A crash cut on a commit append's write leaves a torn record —
-    /// the publish is uncommitted — and on its fsync a whole one.
-    #[test]
-    fn crash_cut_on_commit_append_tears_or_keeps_the_record() {
-        let path = std::env::temp_dir().join("co_graph_journal_commit_crash.commit");
-        let rec = CommitRecord {
-            seq: 9,
-            shards: vec![1],
-        };
-        for (cut, committed) in [(0, 0), (1, 1)] {
+    fn crash_cut_on_append_tears_or_keeps_the_record() {
+        let path = tmp("crash_cut");
+        for (cut, kept) in [(0, 0), (1, 1)] {
             let _ = fs::remove_file(&path);
-            let mut log = CommitLog::open(&path, FsyncPolicy::Always).unwrap();
+            let mut journal = Journal::open(&path, FsyncPolicy::Always).unwrap();
             let faults = FaultInjector::new();
             faults.crash_at(cut);
-            assert!(log.append(&rec, Some(&faults)).is_err());
-            assert!(faults.crashed() && log.is_damaged());
-            let outcome = replay::<CommitRecord>(&path).unwrap();
-            assert_eq!(outcome.records.len(), committed, "cut {cut}");
-            assert_eq!(outcome.torn_at.is_some(), committed == 0, "cut {cut}");
+            assert!(journal.append(&sample_delta(), Some(&faults)).is_err());
+            assert!(faults.crashed() && journal.is_damaged());
+            let outcome = replay(&path, 0).unwrap();
+            assert_eq!(outcome.records.len(), kept, "cut {cut}");
+            assert_eq!(outcome.torn_at.is_some(), kept == 0, "cut {cut}");
         }
         fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn commit_record_rejects_malformed_payloads() {
-        for bad in [
-            "",
-            "X\t1\t0",
-            "C\t1\t",
-            "C\tzz\t0",
-            "C\t1\t3,1",
-            "C\t1\t1,1",
-            "C\t1\t0\nC\t2\t0",
-        ] {
-            assert!(
-                CommitRecord::decode(bad, "<memory>", 1).is_err(),
-                "accepted {bad:?}"
-            );
-        }
     }
 
     #[test]
@@ -951,37 +855,31 @@ mod tests {
         assert!(journal.append(&sample_delta(), Some(&faults)).is_err());
         drop(journal);
         // ENOSPC landed no bytes, so the committed prefix is intact.
-        let outcome = replay::<EgDelta>(&path).unwrap();
+        let outcome = replay(&path, 0).unwrap();
         assert_eq!(outcome.records.len(), 1);
         assert!(outcome.torn_at.is_none());
         let mut reopened = Journal::open(&path, FsyncPolicy::Always).unwrap();
         assert_eq!(reopened.len_bytes(), good_len);
         reopened.append(&sample_delta(), None).unwrap();
-        assert_eq!(replay::<EgDelta>(&path).unwrap().records.len(), 2);
+        assert_eq!(replay(&path, 0).unwrap().records.len(), 2);
         fs::remove_file(&path).ok();
     }
 
-    /// Both logs obey the policy: under `Never` no append touches
-    /// fsync (a permanently failing fsync goes unnoticed), under
-    /// `Always` the same fault fails the append and damages the log.
+    /// Appends obey the policy: under `Never` no append touches fsync
+    /// (a permanently failing fsync goes unnoticed), under `Always` the
+    /// same fault fails the append and damages the journal.
     #[test]
-    fn both_logs_obey_the_fsync_policy() {
+    fn appends_obey_the_fsync_policy() {
         use crate::faults::IoFault;
-        let commit = CommitRecord::new(1, [0]);
         for (policy, ok) in [(FsyncPolicy::Never, true), (FsyncPolicy::Always, false)] {
             let wal = tmp("policy");
-            let cmt = tmp("policy_commit");
             let mut journal = Journal::open(&wal, policy).unwrap();
-            let mut log = CommitLog::open(&cmt, policy).unwrap();
             let faults = FaultInjector::new();
             faults.arm_io_fault(IoFault::FsyncFail, usize::MAX);
             assert_eq!(journal.append(&sample_delta(), Some(&faults)).is_ok(), ok);
-            assert_eq!(log.append(&commit, Some(&faults)).is_ok(), ok);
             assert_eq!(faults.io_faults_fired() == 0, ok, "{policy:?}");
             assert_eq!(journal.is_damaged(), !ok);
-            assert_eq!(log.is_damaged(), !ok);
             fs::remove_file(&wal).ok();
-            fs::remove_file(&cmt).ok();
         }
     }
 
@@ -996,11 +894,11 @@ mod tests {
         faults.arm_io_fault(IoFault::ShortWrite, 1);
         assert!(journal.append(&sample_delta(), Some(&faults)).is_err());
         drop(journal);
-        let outcome = replay::<EgDelta>(&path).unwrap();
+        let outcome = replay(&path, 0).unwrap();
         assert_eq!(outcome.records.len(), 1);
         assert_eq!(outcome.torn_at, Some(good_len));
         truncate(&path, good_len).unwrap();
-        assert!(replay::<EgDelta>(&path).unwrap().torn_at.is_none());
+        assert!(replay(&path, 0).unwrap().torn_at.is_none());
         fs::remove_file(&path).ok();
     }
 

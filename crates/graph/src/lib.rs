@@ -46,7 +46,7 @@ pub use error::{GraphError, Result};
 pub use experiment::{EgVertex, ExperimentGraph};
 pub use faults::{FaultInjector, FaultKind, IoFault, NetFault};
 pub use fsck::{FsckCode, FsckReport, Violation};
-pub use journal::{CommitLog, CommitRecord, EgDelta, FsyncPolicy, Journal, QuarantineEntry};
+pub use journal::{EgDelta, FsyncPolicy, Journal, QuarantineEntry};
 pub use meta::{DatasetMeta, MetaCode, MetaError, MetaResult, ModelMeta, ValueMeta};
 pub use operation::{OpHash, OpRef, Operation};
 pub use shard::{shard_of, EgView, GraphQuery, ShardReadGuard, ShardWriteGuard, ShardedEg};

@@ -8,9 +8,8 @@
 //! `RwLock`. Publishes touching disjoint shard sets proceed in
 //! parallel; a publish spanning several shards takes their write locks
 //! in **strictly ascending index order** and holds them all until its
-//! journal records and the cross-shard commit record are durable —
-//! with a single global acquisition order a deadlock is impossible by
-//! construction.
+//! journal records are durable — with a single global acquisition
+//! order a deadlock is impossible by construction.
 //!
 //! The pieces:
 //!
@@ -27,25 +26,25 @@
 //!   children links (per-shard snapshots and journals persist parent
 //!   lists only — children are always derived);
 //! * [`recover_shards`] — the one startup-recovery routine (server and
-//!   `egfsck`, every shard count): load per-shard `EGSNAP 3` snapshots, replay the
-//!   commit log, then replay each shard journal keeping exactly the
-//!   records that are both beyond the shard's snapshot watermark and
-//!   named by a commit record. A crash anywhere between the per-shard
-//!   appends of one publish rolls the whole publish back.
+//!   `egfsck`, every shard count): load per-shard `EGSNAP 3` snapshots,
+//!   then replay each shard journal keeping exactly the records that are
+//!   both beyond the shard's snapshot watermark and committed — every
+//!   shard in the record's shard set holds the record or has a watermark
+//!   covering it. A crash anywhere between the per-shard appends of one
+//!   publish rolls the whole publish back.
 //!
 //! On-disk layout of a data directory (`n` shards, `n = 1` included):
 //!
 //! ```text
 //! eg-0.wal … eg-<n-1>.wal        one journal per shard (EGWAL 1)
 //! eg-0.egsnap … eg-<n-1>.egsnap  per-shard snapshots (EGSNAP 3)
-//! eg.commit                      the commit log (EGCMT 1)
 //! ```
 
 use crate::artifact::ArtifactId;
 use crate::error::{GraphError, Result};
 use crate::experiment::{EgVertex, ExperimentGraph};
 use crate::faults::FaultInjector;
-use crate::journal::{self, CommitRecord, EgDelta, QuarantineEntry};
+use crate::journal::{self, EgDelta, QuarantineEntry};
 use crate::lockorder;
 use crate::snapshot;
 use crate::storage::{ColumnVault, StorageManager};
@@ -57,13 +56,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Commit-log file name inside a data directory.
-pub const COMMIT_FILE: &str = "eg.commit";
-
-/// Files of the retired single-journal layout. Nothing reads them any
-/// more; [`recover_shards`] refuses a directory that holds one rather
-/// than silently serving an empty graph beside it.
-const RETIRED_LAYOUT_FILES: [&str; 2] = ["eg.wal", "eg.egsnap"];
+/// Files of retired layouts: the single journal (`eg.wal` /
+/// `eg.egsnap`) and the cross-shard commit log (`eg.commit`), whose
+/// journal records carry no shard set. Nothing reads them any more;
+/// [`recover_shards`] refuses a directory that holds one rather than
+/// silently serving an empty or mis-committed graph beside it.
+const RETIRED_LAYOUT_FILES: [&str; 3] = ["eg.wal", "eg.egsnap", "eg.commit"];
 
 /// Journal file name of shard `k` inside a data directory.
 #[must_use]
@@ -352,18 +350,6 @@ impl ShardedEg {
         guards
     }
 
-    /// Write-lock every shard in ascending order — quiesces all
-    /// publishes (used by compaction and eviction sweeps).
-    #[track_caller]
-    #[must_use]
-    pub fn write_all(&self) -> Vec<ShardWriteGuard<'_>> {
-        let mut guards = Vec::with_capacity(self.shards.len());
-        for k in 0..self.shards.len() {
-            guards.push(self.write(k));
-        }
-        guards
-    }
-
     /// Write-lock the given shard set. `ks` must be strictly ascending
     /// and in range — the ordered-lock protocol that makes cross-shard
     /// publishes deadlock-free.
@@ -451,18 +437,21 @@ pub struct ShardRecovery {
     pub vault: Option<Arc<ColumnVault>>,
     /// Recovered quarantine entries (persisted in shard 0 only).
     pub quarantine: Vec<QuarantineEntry>,
-    /// Torn tails found: `(path, valid_len, bytes_discarded)`. The
-    /// server truncates each; `egfsck` (read-only) reports them.
+    /// Journal tails to discard: `(path, valid_len, bytes_discarded)`,
+    /// where the tail is a torn record and/or the uncommitted records
+    /// before it. The server truncates each; `egfsck` (read-only)
+    /// reports them.
     pub torn: Vec<(PathBuf, u64, u64)>,
     /// Journal records applied (committed and beyond the watermark).
     pub deltas_applied: usize,
     /// Journal records skipped: already inside a snapshot watermark, or
     /// never committed (rolled back).
     pub deltas_skipped: usize,
-    /// Distinct committed publishes named by the commit log.
+    /// Distinct committed sequence numbers found in the journals.
     pub committed_publishes: usize,
-    /// Highest sequence number seen anywhere (watermarks, journals,
-    /// commit log) — the server re-seeds its counter past this.
+    /// Highest sequence number seen anywhere (watermarks and journal
+    /// records, committed or not) — the server re-seeds its counter
+    /// past this, so a sequence number is never reused.
     pub max_seq: u64,
     /// `(parent, child)` pairs whose parent no shard defines — empty
     /// after any committed-prefix recovery.
@@ -474,26 +463,31 @@ pub struct ShardRecovery {
 ///
 /// 1. load each shard's `EGSNAP 3` snapshot (absent ⇒ empty shard),
 ///    noting its sequence watermark;
-/// 2. replay the commit log (torn tail ⇒ scan stops; those publishes
-///    were never committed);
-/// 3. replay each shard journal, applying a record iff its sequence
-///    number is beyond the shard's watermark **and** committed — a
-///    record without a sequence number is corruption in this layout;
-/// 4. rebuild cross-shard children links ([`rewire_children`]).
+/// 2. replay every shard journal (torn tail ⇒ that journal's scan
+///    stops there);
+/// 3. decide each record's publish: seq `s` is committed iff every
+///    shard in its shard set holds an intact record `s` or has a
+///    watermark ≥ `s` — the participants' journals are the commit
+///    decision;
+/// 4. apply a record iff it is committed and beyond its shard's
+///    watermark, and report each journal's uncommitted tail for
+///    truncation with its torn tail;
+/// 5. rebuild cross-shard children links ([`rewire_children`]).
 ///
-/// The caller truncates the returned torn tails (server) or reports
-/// them (`egfsck`).
+/// The caller truncates the returned tails (server) or reports them
+/// (`egfsck`).
 ///
 /// # Errors
 ///
-/// [`GraphError::InvalidStructure`] when the directory holds the retired
-/// single-journal layout (`eg.wal` / `eg.egsnap`); corruption and I/O
-/// errors from the snapshot and log readers.
+/// [`GraphError::InvalidStructure`] when the directory holds a file of
+/// a retired layout (`eg.wal` / `eg.egsnap` / `eg.commit`); corruption
+/// (including a record naming a shard beyond `n_shards`) and I/O
+/// errors from the snapshot and journal readers.
 pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardRecovery> {
     if let Some(old) = RETIRED_LAYOUT_FILES.iter().find(|f| dir.join(f).exists()) {
         return Err(GraphError::InvalidStructure(format!(
-            "data directory {} holds {old}, a file of the retired single-journal layout \
-             (eg.wal / eg.egsnap); this version reads only eg-<k>.wal / eg-<k>.egsnap / eg.commit",
+            "data directory {} holds {old}, a file of a retired layout \
+             (eg.wal / eg.egsnap / eg.commit); this version reads only eg-<k>.wal / eg-<k>.egsnap",
             dir.display()
         )));
     }
@@ -518,35 +512,59 @@ pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardR
         }
     }
 
-    let commit_path = dir.join(COMMIT_FILE);
-    let commits = journal::replay::<CommitRecord>(&commit_path)?;
-    let mut torn = Vec::new();
-    if let Some(at) = commits.torn_at {
-        torn.push((commit_path, at, commits.bytes_discarded));
-    }
-    let committed: HashSet<u64> = commits.records.iter().map(|r| r.seq).collect();
-    for r in &commits.records {
-        max_seq = max_seq.max(r.seq);
-    }
-
-    let mut deltas_applied = 0;
-    let mut deltas_skipped = 0;
-    for (k, graph) in graphs.iter_mut().enumerate() {
+    let mut journals = Vec::with_capacity(n);
+    for k in 0..n {
         let path = dir.join(shard_journal_file(k));
-        let outcome = journal::replay::<EgDelta>(&path)?;
-        if let Some(at) = outcome.torn_at {
-            torn.push((path.clone(), at, outcome.bytes_discarded));
-        }
+        let outcome = journal::replay(&path, k)?;
         for (record, delta) in outcome.records.iter().enumerate() {
-            let Some(seq) = delta.seq else {
+            if delta.shards.last().is_some_and(|&j| j >= n) {
                 return Err(GraphError::corrupt(
                     path.display().to_string(),
                     record + 1,
-                    "journal record carries no sequence number",
+                    format!("journal record names a shard beyond the {n} of this directory"),
                 ));
-            };
-            max_seq = max_seq.max(seq);
-            if seq <= watermarks[k] || !committed.contains(&seq) {
+            }
+            max_seq = max_seq.max(delta.seq);
+        }
+        journals.push((path, outcome));
+    }
+    let held: Vec<HashSet<u64>> = journals
+        .iter()
+        .map(|(_, o)| o.records.iter().map(|d| d.seq).collect())
+        .collect();
+    let committed = |d: &EgDelta| {
+        d.shards
+            .iter()
+            .all(|&j| held[j].contains(&d.seq) || watermarks[j] >= d.seq)
+    };
+
+    let mut torn = Vec::new();
+    let mut committed_seqs = HashSet::new();
+    let mut deltas_applied = 0;
+    let mut deltas_skipped = 0;
+    for (k, (path, outcome)) in journals.iter().enumerate() {
+        // A journal's uncommitted records are its tail: a failed
+        // publish holds its shard locks until the layer is read-only,
+        // which appends nothing until repair re-appends the whole
+        // publish. Discard them with the torn tail, or another shard's
+        // later watermark could cover them and commit them.
+        let live = outcome
+            .records
+            .iter()
+            .rposition(committed)
+            .map_or(0, |i| i + 1);
+        let cut = outcome.starts.get(live).copied().or(outcome.torn_at);
+        if let Some(at) = cut {
+            torn.push((path.clone(), at, outcome.len - at));
+        }
+        let graph = &mut graphs[k];
+        for delta in &outcome.records {
+            if !committed(delta) {
+                deltas_skipped += 1;
+                continue;
+            }
+            committed_seqs.insert(delta.seq);
+            if delta.seq <= watermarks[k] {
                 deltas_skipped += 1;
                 continue;
             }
@@ -586,7 +604,7 @@ pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardR
         torn,
         deltas_applied,
         deltas_skipped,
-        committed_publishes: committed.len(),
+        committed_publishes: committed_seqs.len(),
         max_seq,
         unresolved_links,
     })
@@ -596,7 +614,7 @@ pub fn recover_shards(dir: &Path, n_shards: usize, dedup: bool) -> Result<ShardR
 mod tests {
     use super::*;
     use crate::artifact::NodeKind;
-    use crate::journal::{CommitLog, FsyncPolicy, Journal};
+    use crate::journal::{FsyncPolicy, Journal};
     use std::fs;
 
     fn vertex(id: u64, parents: &[u64]) -> EgVertex {
@@ -734,43 +752,32 @@ mod tests {
     fn recovery_keeps_exactly_the_committed_prefix() {
         let dir = tmp_dir("committed_prefix");
         let n = 2;
-        // Publish 1 (committed): vertex 3 in its owning shard.
-        // Publish 2 (journalled but never committed — the crash hit
-        // between the per-shard appends and the commit append): vertex 5
-        // with parent 3, plus a frequency bump of 3.
+        // Publish 1 (committed): vertex 3 in its owning shard. Publish
+        // 2 spans both shards, but the crash hit after its first append:
+        // only shard `ka` holds its record (a frequency bump of 3).
         let (a, b) = (3u64, 5u64);
         let ka = shard_of(ArtifactId(a), n);
         let kb = shard_of(ArtifactId(b), n);
         assert_ne!(ka, kb);
-        let mut journals: Vec<Journal> = (0..n)
-            .map(|k| Journal::open(&dir.join(shard_journal_file(k)), FsyncPolicy::Always).unwrap())
-            .collect();
-        let mut commit = CommitLog::open(&dir.join(COMMIT_FILE), FsyncPolicy::Always).unwrap();
-        journals[ka]
+        let path = dir.join(shard_journal_file(ka));
+        let mut journal = Journal::open(&path, FsyncPolicy::Always).unwrap();
+        journal
             .append(
                 &EgDelta {
-                    seq: Some(1),
+                    seq: 1,
+                    shards: vec![ka],
                     new_vertices: vec![vertex(a, &[])],
                     ..EgDelta::default()
                 },
                 None,
             )
             .unwrap();
-        commit.append(&CommitRecord::new(1, [ka]), None).unwrap();
-        journals[kb]
+        let committed_len = journal.len_bytes();
+        journal
             .append(
                 &EgDelta {
-                    seq: Some(2),
-                    new_vertices: vec![vertex(b, &[a])],
-                    ..EgDelta::default()
-                },
-                None,
-            )
-            .unwrap();
-        journals[ka]
-            .append(
-                &EgDelta {
-                    seq: Some(2),
+                    seq: 2,
+                    shards: vec![0, 1],
                     touched: vec![journal::VertexTouch {
                         id: ArtifactId(a),
                         frequency: 2,
@@ -783,20 +790,117 @@ mod tests {
                 None,
             )
             .unwrap();
-        // No commit record for seq 2: the publish rolls back whole.
-        drop(journals);
-        drop(commit);
+        let full_len = journal.len_bytes();
+        drop(journal);
 
+        // Shard `kb` neither holds record 2 nor covers it: the publish
+        // rolls back whole, and its record is the tail to truncate.
         let rec = recover_shards(&dir, n, true).unwrap();
         assert_eq!(rec.deltas_applied, 1);
-        assert_eq!(rec.deltas_skipped, 2);
+        assert_eq!(rec.deltas_skipped, 1);
         assert_eq!(rec.committed_publishes, 1);
         assert_eq!(rec.max_seq, 2);
-        assert!(rec.torn.is_empty());
+        assert_eq!(
+            rec.torn,
+            vec![(path, committed_len, full_len - committed_len)]
+        );
         assert!(rec.unresolved_links.is_empty());
-        assert!(rec.graphs[ka].contains(ArtifactId(a)));
         assert_eq!(rec.graphs[ka].vertex(ArtifactId(a)).unwrap().frequency, 1);
-        assert!(!rec.graphs[kb].contains(ArtifactId(b)));
+
+        // A watermark stands in for a record: once shard `kb`'s
+        // snapshot covers seq 2, the publish is committed.
+        let empty = ExperimentGraph::new(true);
+        let snap = dir.join(shard_snapshot_file(kb));
+        snapshot::save_shard_with(&empty, &[], 2, &snap, None).unwrap();
+        let rec = recover_shards(&dir, n, true).unwrap();
+        assert_eq!(rec.deltas_applied, 2);
+        assert_eq!(rec.committed_publishes, 2);
+        assert!(rec.torn.is_empty());
+        assert_eq!(rec.graphs[ka].vertex(ArtifactId(a)).unwrap().frequency, 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_truncates_an_uncommitted_tail_ahead_of_a_torn_tail() {
+        let dir = tmp_dir("uncommitted_then_torn");
+        let n = 2;
+        let path = dir.join(shard_journal_file(0));
+        let mut journal = Journal::open(&path, FsyncPolicy::Always).unwrap();
+        journal
+            .append(
+                &EgDelta {
+                    seq: 1,
+                    shards: vec![0],
+                    new_vertices: vec![vertex(1, &[])],
+                    ..EgDelta::default()
+                },
+                None,
+            )
+            .unwrap();
+        let committed_len = journal.len_bytes();
+        // Seq 2 spans both shards, but shard 1 never got its record.
+        journal
+            .append(
+                &EgDelta {
+                    seq: 2,
+                    shards: vec![0, 1],
+                    new_vertices: vec![vertex(2, &[])],
+                    ..EgDelta::default()
+                },
+                None,
+            )
+            .unwrap();
+        drop(journal);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[9, 0, 0, 0, 1, 2]);
+        fs::write(&path, &bytes).unwrap();
+
+        // The cut starts at the uncommitted record, not at the torn
+        // frame behind it: both go in one truncation.
+        let rec = recover_shards(&dir, n, true).unwrap();
+        assert_eq!(
+            rec.torn,
+            vec![(path, committed_len, bytes.len() as u64 - committed_len)]
+        );
+        assert_eq!(rec.deltas_applied, 1);
+        assert_eq!(rec.committed_publishes, 1);
+        assert_eq!(rec.max_seq, 2);
+        assert!(!rec.graphs[0].contains(ArtifactId(2)));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_resumes_seq_past_a_snapshot_watermark() {
+        // Shard 1 compacted at seq 9 and its journal was reset; shard 0
+        // still holds record 4. The counter must resume past 9, or the
+        // next publishes' records would fall under shard 1's watermark
+        // and be skipped on replay.
+        let dir = tmp_dir("watermark_seq");
+        let n = 2;
+        let snap = dir.join(shard_snapshot_file(1));
+        snapshot::save_shard_with(&ExperimentGraph::new(true), &[], 9, &snap, None).unwrap();
+        let mut journal =
+            Journal::open(&dir.join(shard_journal_file(0)), FsyncPolicy::Always).unwrap();
+        journal
+            .append(
+                &EgDelta {
+                    seq: 4,
+                    shards: vec![0, 1],
+                    new_vertices: vec![vertex(4, &[])],
+                    ..EgDelta::default()
+                },
+                None,
+            )
+            .unwrap();
+        drop(journal);
+
+        let rec = recover_shards(&dir, n, true).unwrap();
+        assert_eq!(rec.max_seq, 9);
+        // Shard 1's watermark stands in for its record of seq 4.
+        assert_eq!(rec.committed_publishes, 1);
+        assert_eq!(rec.deltas_applied, 1);
+        assert!(rec.torn.is_empty());
+        assert!(rec.graphs[0].contains(ArtifactId(4)));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -813,12 +917,13 @@ mod tests {
     }
 
     #[test]
-    fn recovery_rejects_seqless_journal_records() {
-        let dir = tmp_dir("seqless");
+    fn recovery_rejects_records_naming_a_missing_shard() {
+        let dir = tmp_dir("missing_shard");
         let mut j = Journal::open(&dir.join(shard_journal_file(0)), FsyncPolicy::Always).unwrap();
         j.append(
             &EgDelta {
-                seq: None,
+                seq: 1,
+                shards: vec![0, 2],
                 new_vertices: vec![vertex(1, &[])],
                 ..EgDelta::default()
             },
@@ -827,8 +932,28 @@ mod tests {
         .unwrap();
         drop(j);
         let err = recover_shards(&dir, 2, true).err().unwrap();
-        assert!(err.to_string().contains("sequence number"), "{err}");
+        assert!(matches!(err, GraphError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("beyond"), "{err}");
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_rejects_seqless_journal_records() {
+        // Records written before shard sets existed: an `S` line with a
+        // sequence number alone, and a record with no `S` line at all.
+        for payload in ["S\t1\nM+\t1\n", "M+\t1\n"] {
+            let dir = tmp_dir("seqless");
+            let path = dir.join(shard_journal_file(0));
+            let mut bytes = journal::WAL_MAGIC.to_vec();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&journal::crc32(payload.as_bytes()).to_le_bytes());
+            bytes.extend_from_slice(payload.as_bytes());
+            fs::write(&path, &bytes).unwrap();
+            let err = recover_shards(&dir, 2, true).err().unwrap();
+            assert!(matches!(err, GraphError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains("eg-0.wal"), "{err}");
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -871,7 +996,6 @@ mod tests {
         let eg = ShardedEg::new(4, false);
         drop(eg.write_set(&[0, 2, 3]));
         drop(eg.read_all());
-        drop(eg.write_all());
         let _r = eg.read(1);
         let _w = eg.write(2);
     }

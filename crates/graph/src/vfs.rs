@@ -2,11 +2,11 @@
 //! fault injection.
 //!
 //! Every byte the durability code persists — journal appends, snapshot
-//! temp files and renames, the cross-shard commit log, cold column
-//! files — flows through this module, so a single [`IoFault`] schedule
-//! on the shared [`FaultInjector`] can make *any* of those operations
-//! fail exactly as a full disk (ENOSPC), a flaky device (EIO), a torn
-//! write, or a failed `fsync` would.
+//! temp files and renames, cold column files — flows through this
+//! module, so a single [`IoFault`] schedule on the shared
+//! [`FaultInjector`] can make *any* of those operations fail exactly as
+//! a full disk (ENOSPC), a flaky device (EIO), a torn write, or a
+//! failed `fsync` would.
 //!
 //! ## fsyncgate semantics
 //!

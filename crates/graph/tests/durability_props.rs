@@ -6,7 +6,7 @@
 //! surviving prefix is exactly what was committed.
 
 use co_dataframe::Scalar;
-use co_graph::journal::{self, EgDelta, FsyncPolicy, Journal, LogRecord, VertexTouch};
+use co_graph::journal::{self, EgDelta, FsyncPolicy, Journal, VertexTouch};
 use co_graph::{
     snapshot, ArtifactId, EgVertex, ExperimentGraph, NodeKind, Operation, QuarantineEntry, Value,
     WorkloadDag,
@@ -101,10 +101,20 @@ fn arb_quarantine_entry() -> impl Strategy<Value = QuarantineEntry> {
     })
 }
 
+/// The shard whose journal the generated records are read from.
+const OWNER: usize = 3;
+
+/// A strictly ascending, non-empty shard set over shards 0..8 that
+/// contains [`OWNER`] — the only shape a publish ever writes.
+fn arb_shards() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(prop_bool::ANY, 8..9)
+        .prop_map(|mask| (0..mask.len()).filter(|&k| mask[k] || k == OWNER).collect())
+}
+
 fn arb_delta() -> impl Strategy<Value = EgDelta> {
     (
         (
-            (prop_bool::ANY, 0u64..u64::MAX),
+            (0u64..u64::MAX, arb_shards()),
             proptest::collection::vec(arb_vertex(), 0..3),
         ),
         proptest::collection::vec(
@@ -123,10 +133,9 @@ fn arb_delta() -> impl Strategy<Value = EgDelta> {
         proptest::collection::vec(0u64..u64::MAX, 0..2),
     )
         .prop_map(
-            |(((has_seq, seq), new_vertices), touched, added, removed, qset, qcleared)| EgDelta {
-                // The sharded layout's S line rides along in every codec
-                // property (None exercises the legacy encoding).
-                seq: has_seq.then_some(seq),
+            |(((seq, shards), new_vertices), touched, added, removed, qset, qcleared)| EgDelta {
+                seq,
+                shards,
                 new_vertices,
                 touched: touched
                     .into_iter()
@@ -184,8 +193,29 @@ proptest! {
     /// deltas full of separator characters.
     fn journal_record_round_trips(delta in arb_delta()) {
         let payload = delta.encode();
-        let back = EgDelta::decode(&payload, "prop", 1).unwrap();
+        let back = EgDelta::decode(&payload, OWNER, "prop", 1).unwrap();
         prop_assert_eq!(back, delta);
+    }
+
+    /// The `S` line's shard set is the publish's commit decision: decode
+    /// accepts a set exactly when it is non-empty, strictly ascending
+    /// and names the shard the record was read from.
+    fn shard_set_is_accepted_iff_ascending_and_owned(
+        shards in proptest::collection::vec(0usize..6, 0..5),
+        owner in 0usize..6,
+    ) {
+        let set: Vec<String> = shards.iter().map(|k| format!("{k:x}")).collect();
+        let payload = format!("S\t7\t{}\n", set.join(","));
+        let valid = !shards.is_empty()
+            && shards.windows(2).all(|w| w[0] < w[1])
+            && shards.contains(&owner);
+        match EgDelta::decode(&payload, owner, "prop", 1) {
+            Ok(delta) => {
+                prop_assert!(valid, "accepted {:?} for owner {}", shards, owner);
+                prop_assert_eq!(delta.shards, shards);
+            }
+            Err(_) => prop_assert!(!valid, "rejected {:?} for owner {}", shards, owner),
+        }
     }
 
     /// Whole-file round trip: append N deltas, replay the file, get the
@@ -198,9 +228,42 @@ proptest! {
             j.append(d, None).unwrap();
         }
         drop(j);
-        let out = journal::replay::<EgDelta>(&path).unwrap();
+        let out = journal::replay(&path, OWNER).unwrap();
         prop_assert!(out.torn_at.is_none());
         prop_assert_eq!(out.records, deltas);
+    }
+
+    /// Truncate a journal at any byte boundary: replay keeps a prefix
+    /// of the original records and flags the torn tail unless the cut
+    /// lands exactly on a record boundary. A truncation never
+    /// fabricates or alters a record — in particular its shard set, the
+    /// publish's commit decision.
+    fn journal_truncation_keeps_a_prefix(
+        deltas in proptest::collection::vec(arb_delta(), 1..4),
+        cut in 0usize..1_000_000,
+    ) {
+        let path = scratch("truncate.wal");
+        let _ = std::fs::remove_file(&path);
+        let mut j = Journal::open(&path, FsyncPolicy::Never).unwrap();
+        for d in &deltas {
+            j.append(d, None).unwrap();
+        }
+        drop(j);
+        let bytes = std::fs::read(&path).unwrap();
+        // Clean cut points: empty, the bare magic, and every frame
+        // boundary.
+        let full = journal::replay(&path, OWNER).unwrap();
+        let mut clean: Vec<u64> = vec![0, 8, bytes.len() as u64];
+        clean.extend(&full.starts);
+        let keep = cut % (bytes.len() + 1);
+        std::fs::write(&path, &bytes[..keep]).unwrap();
+
+        let out = journal::replay(&path, OWNER).unwrap();
+        prop_assert!(out.records.len() <= deltas.len());
+        for (got, want) in out.records.iter().zip(deltas.iter()) {
+            prop_assert_eq!(got, want);
+        }
+        prop_assert_eq!(out.torn_at.is_none(), clean.contains(&(keep as u64)));
     }
 
     /// Flip any single byte of a journal file: replay must either error
@@ -224,7 +287,7 @@ proptest! {
         bytes[at] ^= mask;
         std::fs::write(&path, &bytes).unwrap();
 
-        match journal::replay::<EgDelta>(&path) {
+        match journal::replay(&path, OWNER) {
             Err(_) => {} // detected outright
             Ok(out) => {
                 prop_assert!(

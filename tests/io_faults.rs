@@ -23,7 +23,7 @@ use co_graph::{
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use support::{assert_fsck_clean, data_dir, fingerprint, workload};
+use support::{assert_fsck_clean, data_dir, dir_bytes, fingerprint, workload};
 
 fn open(config: ServerConfig, dir: &PathBuf) -> OptimizerServer {
     OptimizerServer::open(config, DurabilityConfig::new(dir))
@@ -87,13 +87,11 @@ fn failed_fsync_degrades_to_read_only_then_self_heals_without_restart() {
     assert_fsck_clean(&reopened, &dir);
 }
 
-/// `FsyncPolicy` governs *every* log of the data directory — the
-/// per-shard journals and the commit log alike. Under `Never` a publish
-/// touches no fsync at all, so a disk whose fsync fails forever goes
-/// unnoticed; under `Always` the very same fault degrades the first
-/// publish to read-only (the flush that makes data durable is still
-/// there). Regression: the commit log used to fsync unconditionally, so
-/// `Never` paid — and here failed on — one fsync per publish.
+/// `FsyncPolicy` governs every journal of the data directory. Under
+/// `Never` a publish touches no fsync at all, so a disk whose fsync
+/// fails forever goes unnoticed; under `Always` the very same fault
+/// degrades the first publish to read-only (the flush that makes data
+/// durable is still there).
 #[test]
 fn every_log_obeys_the_fsync_policy() {
     for shards in [8, 1] {
@@ -200,6 +198,43 @@ fn short_write_mid_compaction_preserves_the_committed_prefix() {
     let reopened = open(config, &dir);
     assert_eq!(fingerprint(&reopened), committed);
     assert_fsck_clean(&reopened, &dir);
+}
+
+/// Compaction checks health under the shard lock and writes nothing
+/// while the layer is read-only: the failed publish's merge is live in
+/// memory but not on disk, and a snapshot would make it durable behind
+/// the backlog's back — partially, beside journals that never got it.
+#[test]
+fn compaction_writes_no_snapshot_while_read_only() {
+    for shards in [1, 8] {
+        let dir = data_dir(&format!("io_compact_read_only_{shards}"));
+        let mut config = ServerConfig::collaborative(u64::MAX);
+        config.shards = shards;
+        let server = open(config, &dir);
+        let faults = Arc::new(FaultInjector::new());
+        server.set_fault_injector(Arc::clone(&faults));
+        server.run_workload(workload("tail_one")).unwrap();
+
+        // One failed append, then a healthy disk: only the layer's
+        // health stands between compaction and the snapshot files.
+        faults.arm_io_fault(IoFault::Enospc, 1);
+        server.run_workload(workload("tail_two")).unwrap_err();
+        assert_eq!(server.durability_health(), DurabilityHealth::ReadOnly);
+        let files = dir_bytes(&dir);
+        let err = server.compact().unwrap_err();
+        assert!(matches!(err, GraphError::ReadOnly { .. }), "{err}");
+        assert_eq!(dir_bytes(&dir), files, "shards = {shards}");
+        assert_eq!(server.stats().snapshots_compacted, 0);
+
+        // Repair drains the backlog; then compaction runs.
+        assert!(server.try_repair().unwrap());
+        server.compact().unwrap();
+        let live = fingerprint(&server);
+        drop(server);
+        let reopened = open(config, &dir);
+        assert_eq!(fingerprint(&reopened), live);
+        assert_fsck_clean(&reopened, &dir);
+    }
 }
 
 /// Repair's stray-tmp sweep goes through the injector like every other

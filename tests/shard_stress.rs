@@ -106,7 +106,7 @@ fn concurrent_random_subset_publishes_never_deadlock() {
 /// Crash cuts under pre-existing concurrent state: after a stress
 /// phase, the process dies at each I/O op of one more cross-shard
 /// publish in turn. Exactly that publish is rolled back — or, cut on
-/// the commit record's fsync, kept whole — and everything the
+/// its last record's fsync, kept whole — and everything the
 /// concurrent phase committed survives. Each recovered directory then
 /// evicts and round-trips the evictions.
 #[test]
@@ -146,7 +146,7 @@ fn crash_after_concurrent_stress_recovers_committed_prefix() {
             let _ = server.run_workload(random_workload(victim_seed));
         },
         |reopened| {
-            // Eviction shares the commit path; it round-trips on the
+            // Eviction shares the journal path; it round-trips on the
             // directory this cut left behind (the helper's next open
             // asserts the evictions are durable). A reopened server holds
             // restored mat flags, not contents.
@@ -172,15 +172,15 @@ fn crash_after_concurrent_stress_recovers_committed_prefix() {
             }
         },
     );
-    assert_eq!(cuts.len(), 2 * touched + 2);
+    assert_eq!(cuts.len(), 2 * touched);
     assert_eq!(recovered_at(&cuts), [cuts.len() - 1]);
 }
 
 /// Threshold compaction under concurrency: with a 1-byte journal
-/// threshold every publish triggers a full-shard compaction right after
-/// releasing its publish locks. Ordered acquisition (publish subsets
-/// ascending, compaction all-ascending) keeps this deadlock-free, and
-/// the final directory is snapshots-only.
+/// threshold every publish compacts every shard right after releasing
+/// its publish locks, one shard lock at a time. Ordered acquisition
+/// (publish subsets ascending, compaction one shard at a time) keeps
+/// this deadlock-free, and the final directory is snapshots-only.
 #[test]
 fn threshold_compaction_under_concurrency_is_deadlock_free() {
     let shards = 8;

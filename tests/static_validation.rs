@@ -13,7 +13,7 @@ use co_dataframe::ops::{AggFn, Predicate};
 use co_dataframe::{Column, ColumnData, DataFrame};
 use co_graph::fsck::{self, FsckCode};
 use co_graph::meta::MetaCode;
-use co_graph::shard::{shard_journal_file, shard_snapshot_file, COMMIT_FILE};
+use co_graph::shard::{shard_journal_file, shard_snapshot_file};
 use co_graph::{ArtifactId, NodeId, NodeKind, Operation, Value, WorkloadDag};
 use co_ml::feature::ScaleKind;
 use co_ml::linear::LogisticParams;
@@ -371,8 +371,8 @@ fn check_data_dir_auto_detects_the_shard_count() {
         server.run_workload(real_workload()).unwrap();
         drop(server);
 
-        // One layout at every shard count: N journals, N snapshots (after
-        // the compaction), one commit log — nothing else.
+        // One layout at every shard count: N journals and N snapshots
+        // (after the compaction) — nothing else.
         let mut files: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -380,7 +380,6 @@ fn check_data_dir_auto_detects_the_shard_count() {
         files.sort();
         let mut expected: Vec<String> = (0..shards)
             .flat_map(|k| [shard_journal_file(k), shard_snapshot_file(k)])
-            .chain([COMMIT_FILE.to_owned()])
             .collect();
         expected.sort();
         assert_eq!(files, expected);

@@ -76,6 +76,31 @@ pub fn cross_shard_workload(n: usize, salt: u64) -> WorkloadDag {
     unreachable!()
 }
 
+/// src → one op (terminal), both artifacts on shard `k` of an `n`-way
+/// partition (names re-salted until they are), so one publish of it
+/// appends to shard `k`'s journal alone.
+pub fn single_shard_workload(n: usize, k: usize, salt: u64) -> WorkloadDag {
+    for attempt in 0.. {
+        let mut dag = WorkloadDag::new();
+        let s = dag.add_source(
+            &format!("src{salt}_{attempt}"),
+            Value::Aggregate(Scalar::Float(0.0)),
+        );
+        let t = dag
+            .add_op(step(format!("only{salt}_{attempt}")), &[s])
+            .unwrap();
+        dag.mark_terminal(t).unwrap();
+        if dag
+            .nodes()
+            .iter()
+            .all(|node| shard_of(node.artifact, n) == k)
+        {
+            return dag;
+        }
+    }
+    unreachable!()
+}
+
 /// Everything durability must preserve across a restart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
