@@ -27,7 +27,6 @@ fn populated_eg(dedup: bool) -> (ExperimentGraph, HashMap<ArtifactId, Value>) {
         warmstart: false,
         retry: co_core::RetryPolicy::default(),
         quarantine_after: Some(3),
-        df_threads: None,
         shards: 1,
     });
     let mut available = HashMap::new();

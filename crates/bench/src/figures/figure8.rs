@@ -85,7 +85,6 @@ pub fn run() {
             warmstart: false,
             retry: co_core::RetryPolicy::default(),
             quarantine_after: Some(3),
-            df_threads: None,
             shards: 1,
         });
         let cum = scenario_cumulative(&server, &data, n);

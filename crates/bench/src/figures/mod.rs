@@ -38,16 +38,17 @@ pub fn server(materializer: MaterializerKind, reuse: ReuseKind, budget: u64) -> 
         warmstart: false,
         retry: co_core::RetryPolicy::default(),
         quarantine_after: Some(3),
-        df_threads: None,
         shards: 1,
     })
 }
 
-/// Run egfsck over a driver's Experiment Graph after its workload
-/// sequence: a figure must never be plotted off a graph that broke an
-/// invariant. Panics with the full violation report.
+/// Run egfsck over every shard of a figure's Experiment Graph after its
+/// workload sequence: a figure must never be plotted off a graph that
+/// broke an invariant. Panics with the full violation report.
 pub fn assert_graph_clean(server: &OptimizerServer) {
-    let report = co_graph::fsck::check_graph(&server.eg());
+    let view = server.shards().view();
+    let shards: Vec<_> = view.graphs().collect();
+    let report = co_graph::fsck::check_shards(&shards, &[]);
     assert!(report.is_clean(), "egfsck after bench run: {report}");
 }
 
@@ -61,4 +62,37 @@ pub fn all_footprint(data: &HomeCredit) -> u64 {
     }
     let (_, _, logical) = srv.storage_stats();
     logical
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use co_graph::ArtifactId;
+
+    #[test]
+    fn graph_check_covers_every_shard() {
+        let data = home_credit(&HomeCreditScale::tiny());
+        let mut config = ServerConfig::collaborative(u64::MAX);
+        config.shards = 8;
+        let srv = OptimizerServer::new(config);
+        srv.run_workload(kaggle::w1(&data).unwrap()).unwrap();
+        assert_graph_clean(&srv);
+
+        // A dangling parent seeded into the last non-empty shard must
+        // fail the check: it reads every shard, not just shard 0.
+        let k = (1..8)
+            .rev()
+            .find(|&k| srv.shards().read(k).n_vertices() > 0)
+            .unwrap();
+        {
+            let mut eg = srv.shards().write(k);
+            let v = eg.topo_order()[0];
+            eg.vertex_mut(v).unwrap().parents.push(ArtifactId(0xdead));
+        }
+        let check = std::panic::AssertUnwindSafe(|| assert_graph_clean(&srv));
+        assert!(
+            std::panic::catch_unwind(check).is_err(),
+            "corruption seeded in shard {k} went unseen"
+        );
+    }
 }

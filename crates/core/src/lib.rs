@@ -32,7 +32,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod advisor;
 pub mod cost;
 pub mod dsl;
 pub mod executor;

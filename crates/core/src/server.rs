@@ -10,9 +10,9 @@
 //! The Experiment Graph is partitioned into [`ServerConfig::shards`]
 //! lock shards (`co_graph::shard`; one shard is simply the N = 1 case):
 //! planning takes every shard's read lock and serves through an
-//! [`EgView`], while publishing locks only the shards a workload
-//! touches — in ascending shard order, so two publishers can never
-//! deadlock — and journals each shard's delta separately, each record
+//! [`EgView`](co_graph::EgView), while publishing locks only the shards
+//! a workload touches — in ascending shard order, so two publishers can
+//! never deadlock — and journals each shard's delta separately, each record
 //! naming the publish's shard set so that the records together are the
 //! commit decision (DESIGN.md §10). Compaction snapshots one shard at a
 //! time under that shard's lock alone.
@@ -30,8 +30,8 @@ use crate::report::{ExecutionReport, RecoveryReport};
 use co_graph::journal::{self, EgDelta, FsyncPolicy, Journal, QuarantineEntry, VertexTouch};
 use co_graph::shard::{self, ShardedEg};
 use co_graph::{
-    snapshot, ArtifactId, ColdStore, EgView, ExperimentGraph, FaultInjector, GraphError, OpHash,
-    OpRef, Result, ScrubOutcome, ShardWriteGuard, Value, WorkloadDag,
+    snapshot, ArtifactId, ColdStore, ExperimentGraph, FaultInjector, GraphError, OpHash, OpRef,
+    Result, ScrubOutcome, ShardWriteGuard, Value, WorkloadDag,
 };
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -90,12 +90,6 @@ pub struct ServerConfig {
     /// Quarantine operations after this many consecutive permanent
     /// failures (`None` disables the quarantine).
     pub quarantine_after: Option<usize>,
-    /// Worker threads for the dataframe kernels (join, group-by, map,
-    /// filter, encode). `None` keeps the dataframe layer's own resolution:
-    /// the `CO_DF_THREADS` environment variable if set, else the machine's
-    /// available parallelism. The kernels are bit-identical for any thread
-    /// count, so this is purely a throughput/footprint knob.
-    pub df_threads: Option<usize>,
     /// Experiment Graph lock shards. With `1` (the default) every
     /// publish holds the whole graph, so the configured materializer
     /// runs the paper's algorithms as written; larger values partition
@@ -119,7 +113,6 @@ impl ServerConfig {
             warmstart: false,
             retry: RetryPolicy::default(),
             quarantine_after: Some(3),
-            df_threads: None,
             shards: 1,
         }
     }
@@ -137,7 +130,6 @@ impl ServerConfig {
             warmstart: false,
             retry: RetryPolicy::default(),
             quarantine_after: Some(3),
-            df_threads: None,
             shards: 1,
         }
     }
@@ -154,7 +146,6 @@ impl ServerConfig {
             warmstart: false,
             retry: RetryPolicy::default(),
             quarantine_after: Some(3),
-            df_threads: None,
             shards: 1,
         }
     }
@@ -512,19 +503,12 @@ impl OptimizerServer {
     }
 
     /// Assemble a server around the given sharded graph (shared by
-    /// [`new`], [`with_graph`] and [`open`]).
+    /// [`new`] and [`open`]).
     ///
     /// [`new`]: OptimizerServer::new
-    /// [`with_graph`]: OptimizerServer::with_graph
     /// [`open`]: OptimizerServer::open
     fn build(mut config: ServerConfig, eg: ShardedEg) -> Self {
         config.shards = eg.n_shards();
-        if let Some(n) = config.df_threads {
-            // Process-wide: the dataframe kernels' outputs are identical
-            // for any thread count, so late application by a second server
-            // only changes throughput, never results.
-            co_dataframe::par::set_threads(n);
-        }
         let materializer: Box<dyn Materializer> = match config.materializer {
             MaterializerKind::StorageAware => Box::new(StorageAwareMaterializer {
                 budget: config.budget,
@@ -569,43 +553,6 @@ impl OptimizerServer {
             recipes: parking_lot::Mutex::new(HashMap::new()),
             repair_throttle: parking_lot::Mutex::new(None),
         }
-    }
-
-    /// Create a server around an existing Experiment Graph — e.g. one
-    /// restored from a meta-data snapshot (`co_graph::snapshot`) after a
-    /// restart. Always single-shard: an externally built graph has no
-    /// shard partition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidStructure`] when `config.shards > 1`
-    /// (partition an existing directory via [`open`] instead), or when
-    /// the restored graph's store deduplication mode does not match the
-    /// configured materializer: the storage-aware algorithm budgets
-    /// *deduplicated* bytes, every other materializer budgets nominal
-    /// bytes, so a mismatch silently mis-accounts the storage budget.
-    ///
-    /// [`open`]: OptimizerServer::open
-    pub fn with_graph(config: ServerConfig, eg: ExperimentGraph) -> Result<Self> {
-        if config.shards > 1 {
-            return Err(GraphError::InvalidStructure(format!(
-                "with_graph builds a single-shard server but config.shards = {}",
-                config.shards
-            )));
-        }
-        let dedup = config.materializer == MaterializerKind::StorageAware;
-        if eg.storage().dedup_enabled() != dedup {
-            return Err(GraphError::InvalidStructure(format!(
-                "experiment graph store dedup={} but the {:?} materializer requires dedup={}",
-                eg.storage().dedup_enabled(),
-                config.materializer,
-                dedup
-            )));
-        }
-        Ok(OptimizerServer::build(
-            config,
-            ShardedEg::from_graphs(vec![eg], None),
-        ))
     }
 
     /// Open a crash-safe server from a data directory: remove orphaned
@@ -801,8 +748,7 @@ impl OptimizerServer {
         pruned: PrunedWorkload,
     ) -> std::result::Result<PlannedWorkload, WorkloadError> {
         let PrunedWorkload { dag } = pruned;
-        let guards = self.eg.read_all();
-        let view = EgView::new(guards.iter().map(|g| &**g).collect());
+        let view = self.eg.view();
         let start = Instant::now();
         let plan = self.planner.plan(&dag, &view, &self.config.cost);
         let optimizer_seconds = start.elapsed().as_secs_f64();
@@ -1547,8 +1493,7 @@ impl OptimizerServer {
     /// executing anything or touching the graph.
     pub fn explain(&self, mut dag: WorkloadDag) -> Result<String> {
         dag.prune()?;
-        let guards = self.eg.read_all();
-        let view = EgView::new(guards.iter().map(|g| &**g).collect());
+        let view = self.eg.view();
         let plan = self.planner.plan(&dag, &view, &self.config.cost);
         Ok(crate::optimizer::explain_plan(
             &dag,
@@ -1578,39 +1523,6 @@ impl OptimizerServer {
     #[must_use]
     pub fn lock_wait_ns(&self) -> Vec<u64> {
         self.eg.lock_wait_ns()
-    }
-
-    /// Read access to the Experiment Graph (shared lock).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded server (shards > 1) — iterate
-    /// [`shards`](OptimizerServer::shards) instead.
-    pub fn eg(&self) -> co_graph::ShardReadGuard<'_> {
-        assert_eq!(
-            self.eg.n_shards(),
-            1,
-            "eg() is single-shard only; use shards() on a sharded server"
-        );
-        self.eg.read(0)
-    }
-
-    /// Write access to the Experiment Graph (exclusive lock) — for
-    /// offline tools and tests (e.g. seeding corruption that
-    /// `co_graph::fsck` must catch). Mutations made here bypass the
-    /// publish pipeline and its durability journaling.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded server (shards > 1) — iterate
-    /// [`shards`](OptimizerServer::shards) instead.
-    pub fn eg_mut(&self) -> ShardWriteGuard<'_> {
-        assert_eq!(
-            self.eg.n_shards(),
-            1,
-            "eg_mut() is single-shard only; use shards() on a sharded server"
-        );
-        self.eg.write(0)
     }
 
     /// Summary of storage state: (number of materialized artifacts,
@@ -1908,6 +1820,7 @@ mod tests {
     use crate::dsl::Script;
     use co_dataframe::ops::{MapFn, Predicate};
     use co_dataframe::{Column, ColumnData, DataFrame};
+    use co_graph::GraphQuery;
     use co_ml::linear::LogisticParams;
 
     fn frame() -> DataFrame {
@@ -2011,10 +1924,10 @@ mod tests {
         })
         .unwrap();
         // All four sessions converged onto one set of artifacts.
-        let eg = server.eg();
+        let view = server.shards().view();
         let dag = workload();
         for node in dag.nodes() {
-            assert!(eg.contains(node.artifact));
+            assert!(view.lookup(node.artifact).is_some());
         }
     }
 
@@ -2063,14 +1976,6 @@ mod tests {
             assert!(guards[k].contains(node.artifact));
         }
         assert_eq!(server.stats().workloads, 4);
-    }
-
-    #[test]
-    fn with_graph_rejects_sharded_config() {
-        let mut config = ServerConfig::collaborative(u64::MAX);
-        config.shards = 4;
-        let eg = ExperimentGraph::new(true);
-        assert!(OptimizerServer::with_graph(config, eg).is_err());
     }
 
     #[test]

@@ -44,8 +44,8 @@ thread_local! {
 
 /// Set the process-wide worker thread count (0 clears the override).
 ///
-/// Wired to `ServerConfig::df_threads` and the `CO_DF_THREADS` environment
-/// variable; individual calls can still be pinned with [`with_config`].
+/// Takes precedence over the `CO_DF_THREADS` environment variable;
+/// individual calls can still be pinned with [`with_config`].
 pub fn set_threads(n: usize) {
     GLOBAL_THREADS.store(n, Ordering::Relaxed);
 }

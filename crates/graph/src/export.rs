@@ -1,9 +1,8 @@
-//! Graphviz (DOT) export and summary statistics — the introspection
-//! surface a collaborative platform's UI would build on (the paper's
-//! Figure 1 is exactly such a rendering of a workload DAG).
+//! Graphviz (DOT) export — the introspection surface a collaborative
+//! platform's UI would build on (the paper's Figure 1 is exactly such a
+//! rendering of a workload DAG).
 
 use crate::artifact::NodeKind;
-use crate::experiment::ExperimentGraph;
 use crate::workload::{NodeId, WorkloadDag};
 use std::fmt::Write as _;
 
@@ -48,63 +47,6 @@ pub fn workload_to_dot(dag: &WorkloadDag) -> String {
     out
 }
 
-/// Summary statistics of an Experiment Graph — what a dashboard would
-/// show about the store.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EgStats {
-    /// Total vertices.
-    pub n_vertices: usize,
-    /// Source vertices.
-    pub n_sources: usize,
-    /// Dataset / aggregate / model vertex counts.
-    pub n_datasets: usize,
-    /// Aggregate vertices.
-    pub n_aggregates: usize,
-    /// Model vertices.
-    pub n_models: usize,
-    /// Materialized vertices.
-    pub n_materialized: usize,
-    /// Sum of all vertices' nominal sizes, bytes.
-    pub total_bytes: u64,
-    /// Bytes physically held by the store (after dedup).
-    pub stored_unique_bytes: u64,
-    /// Nominal bytes of the materialized artifacts.
-    pub stored_logical_bytes: u64,
-    /// Best model quality seen.
-    pub best_model_quality: f64,
-    /// Highest vertex frequency.
-    pub max_frequency: u64,
-}
-
-/// Compute [`EgStats`].
-#[must_use]
-pub fn eg_stats(eg: &ExperimentGraph) -> EgStats {
-    let mut stats = EgStats {
-        n_vertices: eg.n_vertices(),
-        n_sources: eg.sources().len(),
-        n_datasets: 0,
-        n_aggregates: 0,
-        n_models: 0,
-        n_materialized: eg.storage().n_artifacts(),
-        total_bytes: 0,
-        stored_unique_bytes: eg.storage().unique_bytes(),
-        stored_logical_bytes: eg.storage().logical_bytes(),
-        best_model_quality: 0.0,
-        max_frequency: 0,
-    };
-    for v in eg.vertices() {
-        match v.kind {
-            NodeKind::Dataset => stats.n_datasets += 1,
-            NodeKind::Aggregate => stats.n_aggregates += 1,
-            NodeKind::Model => stats.n_models += 1,
-        }
-        stats.total_bytes += v.size;
-        stats.best_model_quality = stats.best_model_quality.max(v.quality);
-        stats.max_frequency = stats.max_frequency.max(v.frequency);
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,9 +81,6 @@ mod tests {
             .add_op(Arc::new(Step("train_model", NodeKind::Model)), &[a])
             .unwrap();
         dag.mark_terminal(m).unwrap();
-        dag.annotate(a, 1.0, 100).unwrap();
-        dag.annotate(m, 2.0, 50).unwrap();
-        dag.node_mut(m).unwrap().quality = 0.9;
         dag
     }
 
@@ -169,21 +108,5 @@ mod tests {
         d.prune().unwrap();
         let dot = workload_to_dot(&d);
         assert!(dot.contains("n1 -> n2 [style=dashed]"));
-    }
-
-    #[test]
-    fn stats_count_kinds_and_storage() {
-        let mut eg = ExperimentGraph::new(true);
-        eg.update_with_workload(&dag()).unwrap();
-        let stats = eg_stats(&eg);
-        assert_eq!(stats.n_vertices, 3);
-        assert_eq!(stats.n_sources, 1);
-        assert_eq!(stats.n_models, 1);
-        assert_eq!(stats.n_datasets, 1);
-        assert_eq!(stats.n_aggregates, 1); // the source aggregate
-        assert_eq!(stats.n_materialized, 1); // the source content
-        assert_eq!(stats.total_bytes, 100 + 50 + 8);
-        assert_eq!(stats.best_model_quality, 0.9);
-        assert_eq!(stats.max_frequency, 1);
     }
 }

@@ -18,7 +18,7 @@
 //! * [`GraphQuery`] — the read-path trait planners, the executor and
 //!   the warmstart search use, so they work against either a plain
 //!   [`ExperimentGraph`] or a sharded view;
-//! * [`EgView`] — a consistent multi-shard read view (borrowing all N
+//! * [`EgView`] — a consistent multi-shard read view (owning all N
 //!   read guards), routing each query to the owning shard;
 //! * [`ShardedEg`] — the shard array itself, with ordered-lock helpers
 //!   and per-shard lock-wait accounting;
@@ -97,8 +97,7 @@ pub fn shard_of(id: ArtifactId, n_shards: usize) -> usize {
 /// The read-side interface of the Experiment Graph: everything the
 /// planners, the execution snapshot, and the warmstart search need.
 /// Implemented by [`ExperimentGraph`] itself (so single-shard callers
-/// pass `&eg` unchanged) and by [`EgView`] (a borrowed multi-shard
-/// view).
+/// pass `&eg` unchanged) and by [`EgView`] (the multi-shard view).
 pub trait GraphQuery {
     /// Vertex lookup; `None` when the graph does not know the artifact.
     fn lookup(&self, id: ArtifactId) -> Option<&EgVertex>;
@@ -129,31 +128,20 @@ impl GraphQuery for ExperimentGraph {
     }
 }
 
-/// A borrowed view over all shards of a sharded Experiment Graph,
-/// routing every query to the shard owning the artifact. Construct it
-/// from the read guards of [`ShardedEg::read_all`]; holding all N read
-/// guards makes the view a consistent cut (no publish can be half
-/// visible, because a publish holds the write locks of every shard it
-/// touches until it commits).
+/// A read view over all shards of a sharded Experiment Graph, routing
+/// every query to the shard owning the artifact. Built by
+/// [`ShardedEg::view`], it owns all N read guards, which makes it a
+/// consistent cut: no publish can be half visible, because a publish
+/// holds the write locks of every shard it touches until it commits.
 pub struct EgView<'a> {
-    shards: Vec<&'a ExperimentGraph>,
+    shards: Vec<ShardReadGuard<'a>>,
 }
 
-impl<'a> EgView<'a> {
-    /// Build a view over the given shard references, indexed by shard.
-    ///
-    /// # Panics
-    /// Panics when `shards` is empty.
-    #[must_use]
-    pub fn new(shards: Vec<&'a ExperimentGraph>) -> Self {
-        assert!(!shards.is_empty(), "a view needs at least one shard");
-        EgView { shards }
-    }
-
+impl EgView<'_> {
     /// The shard owning `id`.
     #[must_use]
-    pub fn owner(&self, id: ArtifactId) -> &'a ExperimentGraph {
-        self.shards[shard_of(id, self.shards.len())]
+    pub fn owner(&self, id: ArtifactId) -> &ExperimentGraph {
+        &self.shards[shard_of(id, self.shards.len())]
     }
 
     /// Number of shards in the view.
@@ -166,6 +154,11 @@ impl<'a> EgView<'a> {
     #[must_use]
     pub fn n_vertices(&self) -> usize {
         self.shards.iter().map(|s| s.n_vertices()).sum()
+    }
+
+    /// Every shard, in index order (e.g. for `fsck::check_shards`).
+    pub fn graphs(&self) -> impl Iterator<Item = &ExperimentGraph> {
+        self.shards.iter().map(|s| &**s)
     }
 }
 
@@ -339,7 +332,7 @@ impl ShardedEg {
     }
 
     /// Read-lock every shard in ascending order — a consistent cut of
-    /// the whole graph (feed the guards to [`EgView::new`]).
+    /// the whole graph.
     #[track_caller]
     #[must_use]
     pub fn read_all(&self) -> Vec<ShardReadGuard<'_>> {
@@ -348,6 +341,16 @@ impl ShardedEg {
             guards.push(self.read(k));
         }
         guards
+    }
+
+    /// [`Self::read_all`] as an [`EgView`]: the one way to read the
+    /// whole graph at any shard count.
+    #[track_caller]
+    #[must_use]
+    pub fn view(&self) -> EgView<'_> {
+        EgView {
+            shards: self.read_all(),
+        }
     }
 
     /// Write-lock the given shard set. `ks` must be strictly ascending
@@ -678,13 +681,18 @@ mod tests {
                 .restore_vertex_unlinked(vertex(raw, &[]))
                 .unwrap();
         }
-        let view = EgView::new(graphs.iter().collect());
+        let eg = ShardedEg::from_graphs(graphs, None);
+        let view = eg.view();
         for &raw in &ids {
-            let v = view.lookup(ArtifactId(raw)).unwrap();
+            let id = ArtifactId(raw);
+            let v = view.lookup(id).unwrap();
             assert_eq!(v.id.0, raw);
+            assert!(view.owner(id).contains(id));
         }
         assert!(view.lookup(ArtifactId(0xdead_beef)).is_none());
+        assert_eq!(view.n_shards(), n);
         assert_eq!(view.n_vertices(), ids.len());
+        assert_eq!(view.graphs().count(), n);
     }
 
     #[test]

@@ -196,8 +196,7 @@ pub(crate) fn parse_vertex_fields(fields: &[&str], ctx: &ParseCtx<'_>) -> Result
     })
 }
 
-/// One shard — or, from the whole-graph entry points, one whole graph —
-/// restored from a snapshot.
+/// One shard restored from a snapshot.
 pub struct RestoredSnapshot {
     /// The rebuilt graph (meta-data only; empty content store).
     pub graph: ExperimentGraph,
@@ -207,55 +206,6 @@ pub struct RestoredSnapshot {
     /// Journal replay skips records with `seq <= watermark`: everything
     /// up to the watermark is already contained in this snapshot.
     pub watermark: u64,
-}
-
-/// Serialise a whole graph's meta-data (no quarantine) to a snapshot
-/// string. See [`to_snapshot_with`].
-///
-/// # Errors
-///
-/// The graph's topological order lists a vertex the graph cannot
-/// resolve — internal corruption that must surface as a typed error
-/// (the durability layer degrades to read-only), never a panic.
-pub fn to_snapshot(eg: &ExperimentGraph) -> Result<String> {
-    to_snapshot_with(eg, &[])
-}
-
-/// Serialise a whole graph's meta-data and the quarantine set: the
-/// one-shard snapshot at watermark 0.
-///
-/// # Errors
-///
-/// The graph's topological order lists an unresolvable vertex (see
-/// [`to_snapshot`]).
-pub fn to_snapshot_with(eg: &ExperimentGraph, quarantine: &[QuarantineEntry]) -> Result<String> {
-    to_shard_snapshot(eg, quarantine, 0)
-}
-
-/// Rebuild a whole graph from a snapshot string, dropping the
-/// quarantine set.
-pub fn from_snapshot(text: &str, dedup: bool) -> Result<ExperimentGraph> {
-    from_snapshot_full(text, dedup, IN_MEMORY).map(|r| r.graph)
-}
-
-/// Rebuild a whole graph and the quarantine set from a snapshot string:
-/// parse it as the only shard, then resolve lineage — every parent must
-/// be defined by the same file. `origin` names the source (a file path,
-/// usually) in parse errors.
-pub fn from_snapshot_full(text: &str, dedup: bool, origin: &str) -> Result<RestoredSnapshot> {
-    let mut restored = from_shard_snapshot(text, dedup, origin)?;
-    let unresolved = crate::shard::rewire_children(std::slice::from_mut(&mut restored.graph));
-    match unresolved.first() {
-        None => Ok(restored),
-        Some((parent, child)) => Err(GraphError::corrupt(
-            origin,
-            0,
-            format!(
-                "vertex {:x} lists parent {:x}, which the snapshot never defines",
-                child.0, parent.0
-            ),
-        )),
-    }
 }
 
 /// Verify the canonical `#CRC` footer over everything preceding it and
@@ -313,8 +263,9 @@ fn unknown_vertex(id: ArtifactId) -> GraphError {
 ///
 /// # Errors
 ///
-/// The graph's topological order lists an unresolvable vertex (see
-/// [`to_snapshot`]).
+/// The graph's topological order lists a vertex the graph cannot
+/// resolve — internal corruption that must surface as a typed error
+/// (the durability layer degrades to read-only), never a panic.
 pub fn to_shard_snapshot(
     eg: &ExperimentGraph,
     quarantine: &[QuarantineEntry],
@@ -431,13 +382,9 @@ pub fn save_shard_with(
 
 /// Load one shard's snapshot from disk.
 pub fn load_shard_full(path: &Path, dedup: bool) -> Result<RestoredSnapshot> {
-    let text = read_snapshot(path)?;
+    let text = crate::vfs::read_to_string(path, None)
+        .map_err(|e| GraphError::Io(format!("cannot read snapshot {}: {e}", path.display())))?;
     from_shard_snapshot(&text, dedup, &path.display().to_string())
-}
-
-fn read_snapshot(path: &Path) -> Result<String> {
-    crate::vfs::read_to_string(path, None)
-        .map_err(|e| GraphError::Io(format!("cannot read snapshot {}: {e}", path.display())))
 }
 
 /// The temp-file path used by atomic saves: `<path>.tmp`.
@@ -450,12 +397,6 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 
 fn io_err(what: &str, path: &Path, e: &std::io::Error) -> GraphError {
     GraphError::Io(format!("cannot {what} snapshot {}: {e}", path.display()))
-}
-
-/// Write a whole graph's snapshot to disk atomically (see
-/// [`save_shard_with`]).
-pub fn save(eg: &ExperimentGraph, path: &Path) -> Result<()> {
-    save_shard_with(eg, &[], 0, path, None)
 }
 
 fn write_atomic(text: &str, path: &Path, faults: Option<&FaultInjector>) -> Result<()> {
@@ -476,16 +417,11 @@ fn write_atomic(text: &str, path: &Path, faults: Option<&FaultInjector>) -> Resu
     Ok(())
 }
 
-/// Load a whole graph's snapshot from disk, dropping the quarantine set.
-pub fn load(path: &Path, dedup: bool) -> Result<ExperimentGraph> {
-    let text = read_snapshot(path)?;
-    from_snapshot_full(&text, dedup, &path.display().to_string()).map(|r| r.graph)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::operation::Operation;
+    use crate::shard::rewire_children;
     use crate::value::Value;
     use crate::workload::WorkloadDag;
     use co_dataframe::Scalar;
@@ -533,7 +469,9 @@ mod tests {
     #[test]
     fn round_trips_meta_data() {
         let eg = populated();
-        let restored = from_snapshot(&to_snapshot(&eg).unwrap(), true).unwrap();
+        let text = to_shard_snapshot(&eg, &[], 0).unwrap();
+        let mut restored = from_shard_snapshot(&text, true, IN_MEMORY).unwrap().graph;
+        assert!(rewire_children(std::slice::from_mut(&mut restored)).is_empty());
         assert_eq!(restored.n_vertices(), eg.n_vertices());
         assert_eq!(restored.topo_order(), eg.topo_order());
         assert_eq!(restored.sources(), eg.sources());
@@ -573,8 +511,8 @@ mod tests {
             name: "train\tweird".to_owned(),
             failures: 4,
         }];
-        let text = to_snapshot_with(&eg, &quarantine).unwrap();
-        let restored = from_snapshot_full(&text, true, IN_MEMORY).unwrap();
+        let text = to_shard_snapshot(&eg, &quarantine, 0).unwrap();
+        let restored = from_shard_snapshot(&text, true, IN_MEMORY).unwrap();
         assert_eq!(restored.quarantine, quarantine);
         assert_eq!(restored.graph.n_vertices(), eg.n_vertices());
     }
@@ -583,8 +521,8 @@ mod tests {
     fn file_round_trip() {
         let eg = populated();
         let path = std::env::temp_dir().join("co_graph_snapshot_test.egsnap");
-        save(&eg, &path).unwrap();
-        let restored = load(&path, true).unwrap();
+        save_shard_with(&eg, &[], 0, &path, None).unwrap();
+        let restored = load_shard_full(&path, true).unwrap().graph;
         assert_eq!(restored.n_vertices(), eg.n_vertices());
         assert!(!tmp_path(&path).exists(), "atomic save leaves no temp file");
         std::fs::remove_file(&path).ok();
@@ -603,11 +541,11 @@ mod tests {
         assert_eq!(restored.watermark, 0x2a);
         assert_eq!(restored.quarantine, quarantine);
         assert_eq!(restored.graph.n_vertices(), eg.n_vertices());
-        // The whole-graph loader reads the same format (a whole graph
-        // is the one-shard case) and wires the children links.
-        let whole = from_snapshot_full(&text, true, IN_MEMORY).unwrap();
-        assert_eq!(whole.watermark, 0x2a);
-        assert_eq!(whole.graph.potentials(), eg.potentials());
+        // Rewiring the children links, as recovery does, restores the
+        // derived attributes.
+        let mut graph = restored.graph;
+        assert!(rewire_children(std::slice::from_mut(&mut graph)).is_empty());
+        assert_eq!(graph.potentials(), eg.potentials());
         // A v3 file without its watermark line is rejected.
         let body = "EGSNAP 3\n";
         let no_w = format!("{body}{CRC_PREFIX}{:08x}\n", crc32(body.as_bytes()));
@@ -628,41 +566,46 @@ mod tests {
         assert!(v.children.is_empty());
         assert!(restored.graph.was_materialized(ArtifactId(0xbb)));
         assert!(!restored.graph.contains(ArtifactId(0xaa)));
-        // A whole-graph snapshot must define every parent it names.
-        let err = from_snapshot_full(&text, true, "whole.egsnap")
-            .err()
-            .unwrap();
-        assert!(matches!(err, GraphError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("never defines"), "{err}");
+        // Alone, the shard cannot resolve that parent: the rewire pass
+        // reports the link.
+        let mut graph = restored.graph;
+        assert_eq!(
+            rewire_children(std::slice::from_mut(&mut graph)),
+            vec![(ArtifactId(0xaa), ArtifactId(0xbb))]
+        );
     }
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(from_snapshot("", true).is_err());
-        assert!(from_snapshot("WRONG", true).is_err());
+        assert!(from_shard_snapshot("", true, IN_MEMORY).is_err());
+        assert!(from_shard_snapshot("WRONG", true, IN_MEMORY).is_err());
         // Retired formats are named in the error, not silently parsed.
         for version in 1..=2 {
             let old = format!("EGSNAP {version}\n");
-            let err = from_snapshot(&old, true).err().expect("retired header");
+            let err = from_shard_snapshot(&old, true, IN_MEMORY)
+                .err()
+                .expect("retired header");
             assert!(err.to_string().contains("EGSNAP 3"), "{err}");
         }
         // A current header without its footer is treated as truncated.
-        assert!(from_snapshot("EGSNAP 3\nW\t0\n", true).is_err());
+        assert!(from_shard_snapshot("EGSNAP 3\nW\t0\n", true, IN_MEMORY).is_err());
     }
 
     #[test]
     fn corruption_is_detected_by_the_crc_footer() {
-        let text = to_snapshot(&populated()).unwrap();
+        let text = to_shard_snapshot(&populated(), &[], 0).unwrap();
         // Flip one byte in the middle of the body.
         let mut bytes = text.clone().into_bytes();
         let mid = bytes.len() / 2;
         bytes[mid] = bytes[mid].wrapping_add(1);
         let corrupted = String::from_utf8_lossy(&bytes).into_owned();
-        let err = from_snapshot(&corrupted, true).err().expect("corrupt");
+        let err = from_shard_snapshot(&corrupted, true, IN_MEMORY)
+            .err()
+            .expect("corrupt");
         assert!(matches!(err, GraphError::Corrupt { .. }), "{err}");
         // Truncation (losing the footer) is detected too.
         let truncated = &text[..text.len() - 20];
-        assert!(from_snapshot(truncated, true).is_err());
+        assert!(from_shard_snapshot(truncated, true, IN_MEMORY).is_err());
     }
 
     #[test]
@@ -675,7 +618,7 @@ mod tests {
         // source is named "train\tcsv", serialised with an escaped tab —
         // turn that escape into an unknown one.
         let eg = populated();
-        let good = to_snapshot(&eg).unwrap();
+        let good = to_shard_snapshot(&eg, &[], 0).unwrap();
         assert!(good.contains("train\\tcsv"));
         let bad = good.replacen("train\\tcsv", "train\\zcsv", 1);
         // (fix the CRC so the escape error, not the checksum, fires)
@@ -685,7 +628,9 @@ mod tests {
             &bad[..body_end],
             crc32(&bad.as_bytes()[..body_end])
         );
-        let err = from_snapshot(&rebuilt, true).err().expect("bad escape");
+        let err = from_shard_snapshot(&rebuilt, true, IN_MEMORY)
+            .err()
+            .expect("bad escape");
         assert!(err.to_string().contains("escape"), "{err}");
     }
 
@@ -693,7 +638,8 @@ mod tests {
     fn escaping_survives_hostile_names() {
         assert_eq!(unescape(&escape("a\tb\\c\nd")).unwrap(), "a\tb\\c\nd");
         let eg = populated();
-        let restored = from_snapshot(&to_snapshot(&eg).unwrap(), true).unwrap();
+        let text = to_shard_snapshot(&eg, &[], 0).unwrap();
+        let restored = from_shard_snapshot(&text, true, IN_MEMORY).unwrap().graph;
         let src = restored.sources()[0];
         assert_eq!(
             restored.vertex(src).unwrap().source_name.as_deref(),

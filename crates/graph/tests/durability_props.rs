@@ -304,7 +304,7 @@ proptest! {
         }
     }
 
-    /// Whole-graph `EGSNAP 3` round trip: vertices, materialization flags, and the
+    /// `EGSNAP 3` round trip: vertices, materialization flags, and the
     /// quarantine set all survive, and re-serialising the restored state
     /// is bytewise identical (stable fixed point).
     fn snapshot_round_trips(
@@ -313,8 +313,8 @@ proptest! {
         quarantine in proptest::collection::vec(arb_quarantine_entry(), 0..3),
     ) {
         let eg = hostile_graph(&names, &mat_mask);
-        let text = snapshot::to_snapshot_with(&eg, &quarantine).unwrap();
-        let restored = snapshot::from_snapshot_full(&text, true, "prop").unwrap();
+        let text = snapshot::to_shard_snapshot(&eg, &quarantine, 0).unwrap();
+        let restored = snapshot::from_shard_snapshot(&text, true, "prop").unwrap();
         prop_assert_eq!(restored.graph.n_vertices(), eg.n_vertices());
         prop_assert_eq!(restored.graph.topo_order(), eg.topo_order());
         for id in eg.topo_order() {
@@ -327,7 +327,7 @@ proptest! {
         }
         prop_assert_eq!(&restored.quarantine, &quarantine);
         prop_assert_eq!(
-            snapshot::to_snapshot_with(&restored.graph, &restored.quarantine).unwrap(),
+            snapshot::to_shard_snapshot(&restored.graph, &restored.quarantine, 0).unwrap(),
             text
         );
     }
@@ -345,14 +345,14 @@ proptest! {
         mask in 1u8..=255,
     ) {
         let eg = hostile_graph(&names, &mat_mask);
-        let good = snapshot::to_snapshot_with(&eg, &quarantine).unwrap();
+        let good = snapshot::to_shard_snapshot(&eg, &quarantine, 0).unwrap();
         let mut bytes = good.clone().into_bytes();
         let at = idx % bytes.len();
         bytes[at] ^= mask;
         match String::from_utf8(bytes) {
             Err(_) => {} // detected: not even UTF-8 any more
             Ok(bad) => prop_assert!(
-                snapshot::from_snapshot_full(&bad, true, "prop").is_err(),
+                snapshot::from_shard_snapshot(&bad, true, "prop").is_err(),
                 "flip of byte {} (mask {:#04x}) loaded successfully",
                 at,
                 mask

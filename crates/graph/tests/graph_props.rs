@@ -4,7 +4,8 @@
 
 use co_dataframe::{Column, ColumnData, DataFrame, Scalar};
 use co_graph::{
-    snapshot, ArtifactId, ExperimentGraph, NodeKind, Operation, StorageManager, Value, WorkloadDag,
+    shard, snapshot, ArtifactId, ExperimentGraph, NodeKind, Operation, StorageManager, Value,
+    WorkloadDag,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -143,14 +144,16 @@ proptest! {
         let dag = build_dag(&specs);
         let mut eg = ExperimentGraph::new(true);
         eg.update_with_workload(&dag).unwrap();
-        let text = snapshot::to_snapshot(&eg).unwrap();
-        let restored = snapshot::from_snapshot(&text, true).unwrap();
+        let text = snapshot::to_shard_snapshot(&eg, &[], 0).unwrap();
+        let mut restored = snapshot::from_shard_snapshot(&text, true, "prop").unwrap().graph;
+        // Children links are derived state: rewire them as recovery does.
+        prop_assert!(shard::rewire_children(std::slice::from_mut(&mut restored)).is_empty());
         prop_assert_eq!(restored.n_vertices(), eg.n_vertices());
         prop_assert_eq!(restored.topo_order(), eg.topo_order());
         prop_assert_eq!(restored.recreation_costs(), eg.recreation_costs());
         prop_assert_eq!(restored.potentials(), eg.potentials());
         // Fixpoint.
-        prop_assert_eq!(snapshot::to_snapshot(&restored).unwrap(), text);
+        prop_assert_eq!(snapshot::to_shard_snapshot(&restored, &[], 0).unwrap(), text);
     }
 
     #[test]

@@ -65,8 +65,8 @@ proptest! {
             eg.vertex_mut(*id).unwrap().description = d.clone();
         }
 
-        let text = snapshot::to_snapshot(&eg).unwrap();
-        let restored = snapshot::from_snapshot(&text, true).unwrap();
+        let text = snapshot::to_shard_snapshot(&eg, &[], 0).unwrap();
+        let restored = snapshot::from_shard_snapshot(&text, true, "prop").unwrap().graph;
         prop_assert_eq!(restored.n_vertices(), eg.n_vertices());
         prop_assert_eq!(restored.topo_order(), eg.topo_order());
         for id in &ids {
@@ -78,13 +78,14 @@ proptest! {
         }
         // Fixed point: re-serializing the restored graph is bytewise
         // identical, so escaping is stable over repeated save/load.
-        prop_assert_eq!(snapshot::to_snapshot(&restored).unwrap(), text);
+        prop_assert_eq!(snapshot::to_shard_snapshot(&restored, &[], 0).unwrap(), text);
     }
 }
 
 #[test]
 fn missing_snapshot_file_is_a_graph_io_error() {
-    let Err(err) = snapshot::load(std::path::Path::new("/nonexistent/dir/x.egsnap"), true) else {
+    let path = std::path::Path::new("/nonexistent/dir/x.egsnap");
+    let Err(err) = snapshot::load_shard_full(path, true) else {
         panic!("loading a missing snapshot succeeded");
     };
     assert!(matches!(err, GraphError::Io(_)), "{err}");

@@ -81,16 +81,18 @@ fn main() {
     let (server, recovery) =
         OptimizerServer::open(config, DurabilityConfig::new(&dir)).expect("reopen data dir");
     println!("{}", recovery.render());
-    let eg = server.eg();
+    let view = server.shards().view();
     println!(
         "recovered graph: {} vertices, {} flagged materialized",
-        eg.n_vertices(),
-        eg.topo_order()
-            .iter()
-            .filter(|id| eg.was_materialized(**id))
+        view.n_vertices(),
+        view.graphs()
+            .flat_map(|eg| eg
+                .topo_order()
+                .iter()
+                .filter(|id| eg.was_materialized(**id)))
             .count()
     );
-    drop(eg);
+    drop(view);
 
     let (_, report) = server.run_workload(workload()).expect("resubmission runs");
     println!(

@@ -1,15 +1,14 @@
 //! Inspecting a live collaborative environment: the EXPLAIN view of an
-//! incoming workload, the Experiment Graph dashboard statistics, the
-//! model leaderboard / hyperparameter advisor (the paper's §9 future
-//! work), and a Graphviz rendering of a workload DAG (paper Figure 1).
+//! incoming workload, the Experiment Graph's size and storage
+//! statistics, and a Graphviz rendering of a workload DAG (paper
+//! Figure 1).
 //!
 //! ```sh
 //! cargo run --release -p co-workloads --example graph_inspection
 //! ```
 
-use co_core::advisor;
 use co_core::{OptimizerServer, ServerConfig};
-use co_graph::export::{eg_stats, workload_to_dot};
+use co_graph::export::workload_to_dot;
 use co_workloads::data::creditg;
 use co_workloads::openml::pipeline;
 
@@ -32,22 +31,18 @@ fn main() {
     println!("{plan}");
 
     // 2. Graph dashboard.
-    let stats = eg_stats(&server.eg());
+    let (n_materialized, unique, logical) = server.storage_stats();
     println!("== Experiment Graph ==");
     println!(
-        "{} vertices ({} datasets, {} models, {} aggregates), {} materialized",
-        stats.n_vertices,
-        stats.n_datasets,
-        stats.n_models,
-        stats.n_aggregates,
-        stats.n_materialized
+        "{} vertices over {} shard(s), {} materialized",
+        server.shards().view().n_vertices(),
+        server.n_shards(),
+        n_materialized
     );
     println!(
-        "store: {:.2} MiB unique / {:.2} MiB logical; best model quality {:.3}; max frequency {}",
-        stats.stored_unique_bytes as f64 / (1 << 20) as f64,
-        stats.stored_logical_bytes as f64 / (1 << 20) as f64,
-        stats.best_model_quality,
-        stats.max_frequency
+        "store: {:.2} MiB unique / {:.2} MiB logical",
+        unique as f64 / (1 << 20) as f64,
+        logical as f64 / (1 << 20) as f64
     );
     let lifetime = server.stats();
     println!(
@@ -58,25 +53,7 @@ fn main() {
         lifetime.seconds_saved()
     );
 
-    // 3. The community leaderboard and hyperparameter advice (paper §9).
-    println!("\n== model leaderboard (top 5) ==");
-    for (i, entry) in advisor::leaderboard(&server.eg(), 5).iter().enumerate() {
-        println!(
-            "{}. q={:.3}  f={}  depth={}  {}{}",
-            i + 1,
-            entry.quality,
-            entry.frequency,
-            entry.pipeline_depth,
-            entry.description,
-            if entry.materialized {
-                "  [materialized]"
-            } else {
-                ""
-            }
-        );
-    }
-
-    // 4. Render a workload DAG for the paper's Figure-1-style view.
+    // 3. Render a workload DAG for the paper's Figure-1-style view.
     let mut dag = pipeline(&data, 3, 11).expect("builds");
     dag.prune().expect("has terminals");
     let dot = workload_to_dot(&dag);

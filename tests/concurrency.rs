@@ -4,7 +4,7 @@
 
 use co_core::ops::EvalMetric;
 use co_core::{OptimizerServer, Script, ServerConfig};
-use co_graph::WorkloadDag;
+use co_graph::{GraphQuery, WorkloadDag};
 use co_workloads::data::{creditg, CreditG};
 use co_workloads::openml;
 use std::sync::Arc;
@@ -30,10 +30,16 @@ fn simple_workload(data: &CreditG, lr: f64) -> WorkloadDag {
     s.into_dag()
 }
 
-#[test]
-fn identical_concurrent_submissions_converge() {
+fn server(shards: usize) -> Arc<OptimizerServer> {
+    Arc::new(OptimizerServer::new(ServerConfig {
+        shards,
+        ..ServerConfig::collaborative(u64::MAX)
+    }))
+}
+
+fn identical_submissions_converge(shards: usize) {
     let data = creditg(300, 0);
-    let server = Arc::new(OptimizerServer::new(ServerConfig::collaborative(u64::MAX)));
+    let server = server(shards);
     crossbeam::thread::scope(|scope| {
         for _ in 0..8 {
             let server = Arc::clone(&server);
@@ -49,17 +55,25 @@ fn identical_concurrent_submissions_converge() {
     .unwrap();
     // One artifact set, regardless of racing updaters.
     let dag = simple_workload(&data, 0.3);
-    let eg = server.eg();
+    let view = server.shards().view();
     for node in dag.nodes() {
-        assert!(eg.contains(node.artifact));
-        assert!(eg.vertex(node.artifact).unwrap().frequency >= 1);
+        assert!(view.lookup(node.artifact).unwrap().frequency >= 1);
     }
 }
 
 #[test]
-fn distinct_concurrent_submissions_all_land_in_the_graph() {
+fn identical_concurrent_submissions_converge() {
+    identical_submissions_converge(1);
+}
+
+#[test]
+fn identical_concurrent_submissions_converge_sharded() {
+    identical_submissions_converge(8);
+}
+
+fn distinct_submissions_all_land(shards: usize) {
     let data = creditg(300, 0);
-    let server = Arc::new(OptimizerServer::new(ServerConfig::collaborative(u64::MAX)));
+    let server = server(shards);
     let rates = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5];
     crossbeam::thread::scope(|scope| {
         for &lr in &rates {
@@ -71,13 +85,26 @@ fn distinct_concurrent_submissions_all_land_in_the_graph() {
         }
     })
     .unwrap();
-    let eg = server.eg();
+    let view = server.shards().view();
     for &lr in &rates {
         let dag = simple_workload(&data, lr);
         for node in dag.nodes() {
-            assert!(eg.contains(node.artifact), "lr={lr} artifact missing");
+            assert!(
+                view.lookup(node.artifact).is_some(),
+                "lr={lr} artifact missing"
+            );
         }
     }
+}
+
+#[test]
+fn distinct_concurrent_submissions_all_land_in_the_graph() {
+    distinct_submissions_all_land(1);
+}
+
+#[test]
+fn distinct_concurrent_submissions_all_land_in_the_graph_sharded() {
+    distinct_submissions_all_land(8);
 }
 
 #[test]

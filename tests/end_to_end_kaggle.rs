@@ -4,6 +4,7 @@
 
 use co_core::server::{MaterializerKind, ReuseKind};
 use co_core::{CostModel, OptimizerServer, ServerConfig};
+use co_graph::GraphQuery;
 use co_workloads::data::{home_credit, HomeCredit, HomeCreditScale};
 use co_workloads::kaggle;
 use co_workloads::runner::run_sequence;
@@ -13,6 +14,15 @@ fn data() -> HomeCredit {
 }
 
 fn server(materializer: MaterializerKind, reuse: ReuseKind, budget: u64) -> OptimizerServer {
+    sharded_server(materializer, reuse, budget, 1)
+}
+
+fn sharded_server(
+    materializer: MaterializerKind,
+    reuse: ReuseKind,
+    budget: u64,
+    shards: usize,
+) -> OptimizerServer {
     OptimizerServer::new(ServerConfig {
         budget,
         alpha: 0.5,
@@ -22,8 +32,7 @@ fn server(materializer: MaterializerKind, reuse: ReuseKind, budget: u64) -> Opti
         warmstart: false,
         retry: co_core::RetryPolicy::default(),
         quarantine_after: Some(3),
-        df_threads: None,
-        shards: 1,
+        shards,
     })
 }
 
@@ -112,41 +121,65 @@ fn repeated_sequences_are_almost_free() {
     assert!(aggregate_ops > 0);
 }
 
-#[test]
-fn experiment_graph_accumulates_consistently() {
+fn graph_accumulates_consistently(shards: usize) {
     let data = data();
-    let srv = server(MaterializerKind::StorageAware, ReuseKind::Linear, u64::MAX);
+    let srv = sharded_server(
+        MaterializerKind::StorageAware,
+        ReuseKind::Linear,
+        u64::MAX,
+        shards,
+    );
     let mut seen_vertices = 0;
     for dag in kaggle::all_workloads(&data).unwrap() {
         srv.run_workload(dag).unwrap();
-        let eg = srv.eg();
-        let n = eg.n_vertices();
+        let view = srv.shards().view();
+        let n = view.n_vertices();
         assert!(n >= seen_vertices, "EG must only grow");
         seen_vertices = n;
-        // Structural invariants: parents precede children in topo order,
-        // and every edge endpoint exists.
-        let order = eg.topo_order();
-        let position: std::collections::HashMap<_, _> =
-            order.iter().enumerate().map(|(i, id)| (*id, i)).collect();
-        for v in eg.vertices() {
-            for p in &v.parents {
-                assert!(
-                    position[p] < position[&v.id],
-                    "parent after child in topo order"
-                );
-            }
-            for c in &v.children {
-                assert!(eg.contains(*c));
+        // Structural invariants: every edge endpoint exists, and parents
+        // precede children in their shard's topo order.
+        for eg in view.graphs() {
+            let position: std::collections::HashMap<_, _> = eg
+                .topo_order()
+                .iter()
+                .enumerate()
+                .map(|(i, id)| (*id, i))
+                .collect();
+            for v in eg.vertices() {
+                for p in &v.parents {
+                    assert!(view.lookup(*p).is_some(), "dangling parent");
+                    if let Some(at) = position.get(p) {
+                        assert!(*at < position[&v.id], "parent after child in topo order");
+                    }
+                }
+                for c in &v.children {
+                    assert!(view.lookup(*c).is_some());
+                }
             }
         }
     }
     // Frequencies: artifacts shared across workloads appear more often.
-    let eg = srv.eg();
-    let max_freq = eg.vertices().map(|v| v.frequency).max().unwrap();
+    let view = srv.shards().view();
+    let max_freq = view
+        .graphs()
+        .flat_map(|eg| eg.vertices())
+        .map(|v| v.frequency)
+        .max()
+        .unwrap();
     assert!(
         max_freq >= 4,
         "shared FE artifacts should recur, max freq = {max_freq}"
     );
+}
+
+#[test]
+fn experiment_graph_accumulates_consistently() {
+    graph_accumulates_consistently(1);
+}
+
+#[test]
+fn experiment_graph_accumulates_consistently_sharded() {
+    graph_accumulates_consistently(8);
 }
 
 #[test]
@@ -158,13 +191,13 @@ fn budget_is_respected_under_pressure() {
         let (_, unique, logical) = srv.storage_stats();
         // Sources are stored unconditionally and form the only permitted
         // overflow.
-        let eg = srv.eg();
-        let source_bytes: u64 = eg
-            .sources()
-            .iter()
-            .filter_map(|id| eg.vertex(*id).ok().map(|v| v.size))
+        let view = srv.shards().view();
+        let source_bytes: u64 = view
+            .graphs()
+            .flat_map(|eg| eg.sources())
+            .filter_map(|id| view.lookup(*id).map(|v| v.size))
             .sum();
-        drop(eg);
+        drop(view);
         assert!(
             unique <= budget.max(source_bytes) + source_bytes,
             "budget {budget}: unique {unique} (sources {source_bytes})"
@@ -174,22 +207,20 @@ fn budget_is_respected_under_pressure() {
     }
 }
 
-#[test]
-fn stored_artifacts_round_trip_through_the_graph() {
+fn stored_artifacts_round_trip(shards: usize) {
     let data = data();
-    let srv = server(MaterializerKind::All, ReuseKind::Linear, u64::MAX);
+    let srv = sharded_server(MaterializerKind::All, ReuseKind::Linear, u64::MAX, shards);
     let (executed, _) = srv.run_workload(kaggle::w2(&data).unwrap()).unwrap();
-    let eg = srv.eg();
+    let view = srv.shards().view();
     for node in executed.nodes() {
         let Some(original) = &node.computed else {
             continue;
         };
-        if !eg.is_materialized(node.artifact) {
+        if !view.has_content(node.artifact) {
             continue;
         }
-        let stored = eg
-            .storage()
-            .get(node.artifact)
+        let stored = view
+            .load_content(node.artifact)
             .expect("materialized content");
         match (original, &stored) {
             (co_graph::Value::Dataset(a), co_graph::Value::Dataset(b)) => {
@@ -200,6 +231,16 @@ fn stored_artifacts_round_trip_through_the_graph() {
             (a, b) => assert_eq!(a.kind(), b.kind()),
         }
     }
+}
+
+#[test]
+fn stored_artifacts_round_trip_through_the_graph() {
+    stored_artifacts_round_trip(1);
+}
+
+#[test]
+fn stored_artifacts_round_trip_through_the_graph_sharded() {
+    stored_artifacts_round_trip(8);
 }
 
 #[test]

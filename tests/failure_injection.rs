@@ -102,15 +102,27 @@ fn workload(budget: &Arc<AtomicUsize>) -> WorkloadDag {
     dag
 }
 
-#[test]
-fn failed_workloads_salvage_their_prefix_without_corrupting_the_graph() {
-    let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
+fn sharded(config: ServerConfig, shards: usize) -> OptimizerServer {
+    OptimizerServer::new(ServerConfig { shards, ..config })
+}
+
+/// Vertex count across every shard.
+fn n_vertices(server: &OptimizerServer) -> usize {
+    server.shards().view().n_vertices()
+}
+
+/// The salvage half, at any shard count; returns the original server
+/// and its flaky op's budget.
+fn salvage_prefix_without_corrupting_the_graph(
+    shards: usize,
+) -> (OptimizerServer, Arc<AtomicUsize>) {
+    let server = sharded(ServerConfig::collaborative(u64::MAX), shards);
     let budget = Arc::new(AtomicUsize::new(1));
 
     // First run succeeds end to end and populates the graph.
     let (_, report) = server.run_workload(workload(&budget)).unwrap();
     assert_eq!(report.ops_executed, 3);
-    let vertices_after_success = server.eg().n_vertices();
+    let vertices_after_success = n_vertices(&server);
     let stats_after_success = server.stats();
 
     // Exhaust the flaky op's budget and force a recompute of the flaky
@@ -124,7 +136,7 @@ fn failed_workloads_salvage_their_prefix_without_corrupting_the_graph() {
     dag.mark_terminal(extra).unwrap();
     {
         // A fresh server with no materialization: guaranteed recompute.
-        let kg = OptimizerServer::new(ServerConfig::baseline());
+        let kg = sharded(ServerConfig::baseline(), shards);
         let err = kg.run_workload(dag).unwrap_err();
         assert!(
             matches!(err.error, GraphError::OperationFailed { .. }),
@@ -136,8 +148,7 @@ fn failed_workloads_salvage_their_prefix_without_corrupting_the_graph() {
         assert_eq!(err.untainted(), 2, "tainted: {:?}", err.tainted);
         assert_eq!(err.completed.len(), 1); // stable_step (src was free)
         assert_eq!(err.report.salvaged_artifacts, 1);
-        let eg = kg.eg();
-        assert_eq!(eg.n_vertices(), 2, "only the untainted prefix may merge");
+        assert_eq!(n_vertices(&kg), 2, "only the untainted prefix may merge");
         let stats = kg.stats();
         assert_eq!(stats.workloads, 0);
         assert_eq!(stats.failed_workloads, 1);
@@ -145,27 +156,47 @@ fn failed_workloads_salvage_their_prefix_without_corrupting_the_graph() {
     }
 
     // The original server is untouched by any of this.
-    assert_eq!(server.eg().n_vertices(), vertices_after_success);
+    assert_eq!(n_vertices(&server), vertices_after_success);
     assert_eq!(server.stats(), stats_after_success);
+    (server, budget)
+}
 
+#[test]
+fn failed_workloads_salvage_their_prefix_without_corrupting_the_graph() {
+    let (server, budget) = salvage_prefix_without_corrupting_the_graph(1);
     // And it still serves the (materialized) original workload — the
-    // flaky op never needs to run again.
+    // flaky op never needs to run again. Materializing it is the paper's
+    // materializer's decision, which runs at one shard only.
     let (_, repeat) = server.run_workload(workload(&budget)).unwrap();
     assert_eq!(repeat.ops_executed, 0);
     assert!(repeat.artifacts_loaded >= 1);
 }
 
 #[test]
-fn workload_without_terminals_is_rejected_cleanly() {
-    let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
+fn failed_workloads_salvage_their_prefix_without_corrupting_the_graph_sharded() {
+    salvage_prefix_without_corrupting_the_graph(8);
+}
+
+fn reject_workload_without_terminals(shards: usize) {
+    let server = sharded(ServerConfig::collaborative(u64::MAX), shards);
     let mut dag = WorkloadDag::new();
     dag.add_source("src", Value::Aggregate(Scalar::Float(0.0)));
     let err = server.run_workload(dag).unwrap_err();
     assert!(matches!(err.error, GraphError::NoTerminals));
     // Failure predates execution: nothing to salvage, nothing merged.
     assert!(err.tainted.is_empty());
-    assert_eq!(server.eg().n_vertices(), 0);
+    assert_eq!(n_vertices(&server), 0);
     assert_eq!(server.stats().salvaged_artifacts, 0);
+}
+
+#[test]
+fn workload_without_terminals_is_rejected_cleanly() {
+    reject_workload_without_terminals(1);
+}
+
+#[test]
+fn workload_without_terminals_is_rejected_cleanly_sharded() {
+    reject_workload_without_terminals(8);
 }
 
 #[test]
@@ -197,10 +228,9 @@ fn type_mismatches_surface_as_operation_errors() {
     assert_eq!(err.report.retries, 0);
 }
 
-#[test]
-fn recovery_after_failure_is_complete() {
-    // A server that sees a failing workload keeps serving others.
-    let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
+/// A server that sees a failing workload keeps serving others.
+fn recover_after_failure(shards: usize) {
+    let server = sharded(ServerConfig::collaborative(u64::MAX), shards);
     let exhausted = Arc::new(AtomicUsize::new(0)); // fails immediately
     let err = server.run_workload(workload(&exhausted)).unwrap_err();
     assert!(matches!(err.error, GraphError::OperationFailed { .. }));
@@ -214,7 +244,17 @@ fn recovery_after_failure_is_complete() {
         report.ops_executed >= 2 && report.ops_executed <= 3,
         "{report:?}"
     );
-    assert!(server.eg().n_vertices() > 0);
+    assert!(n_vertices(&server) > 0);
+}
+
+#[test]
+fn recovery_after_failure_is_complete() {
+    recover_after_failure(1);
+}
+
+#[test]
+fn recovery_after_failure_is_complete_sharded() {
+    recover_after_failure(8);
 }
 
 #[test]
@@ -235,21 +275,31 @@ fn transient_failures_are_retried_to_success() {
     assert_eq!(stats.failed_workloads, 0);
 }
 
-#[test]
-fn permanent_failure_salvages_prefix_for_resubmission() {
-    let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
+/// A permanent failure merges exactly the untainted prefix.
+fn salvage_prefix_after_permanent_failure(shards: usize) -> OptimizerServer {
+    let server = sharded(ServerConfig::collaborative(u64::MAX), shards);
     let exhausted = Arc::new(AtomicUsize::new(0));
     let err = server.run_workload(workload(&exhausted)).unwrap_err();
     assert_eq!(err.untainted(), 2); // src + stable_step survive
     assert_eq!(server.stats().salvaged_artifacts, 1);
-    assert_eq!(server.eg().n_vertices(), 2);
+    assert_eq!(n_vertices(&server), 2);
+    server
+}
 
+#[test]
+fn permanent_failure_salvages_prefix_for_resubmission() {
+    let server = salvage_prefix_after_permanent_failure(1);
     // Resubmitting with the fault fixed reuses the salvaged prefix:
     // stable_step never runs again.
     let healthy = Arc::new(AtomicUsize::new(usize::MAX));
     let (_, report) = server.run_workload(workload(&healthy)).unwrap();
     assert_eq!(report.ops_executed, 2, "{report:?}"); // flaky + tail only
     assert!(report.artifacts_loaded >= 1);
+}
+
+#[test]
+fn permanent_failure_salvages_prefix_for_resubmission_sharded() {
+    salvage_prefix_after_permanent_failure(8);
 }
 
 #[test]
@@ -301,17 +351,18 @@ fn load_misses_fall_back_to_recompute() {
     assert!(faults.loads_failed() >= 1);
 }
 
-#[test]
-fn evicted_artifacts_recompute_instead_of_erroring() {
-    let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
+fn recompute_evicted_artifacts(shards: usize) {
+    let server = sharded(ServerConfig::collaborative(u64::MAX), shards);
     let healthy = Arc::new(AtomicUsize::new(usize::MAX));
     let (dag, first) = server.run_workload(workload(&healthy)).unwrap();
     assert_eq!(first.ops_executed, 3);
 
     // Evict everything the run materialized.
     let ids: Vec<_> = {
-        let eg = server.eg();
-        eg.storage().materialized_ids()
+        let view = server.shards().view();
+        view.graphs()
+            .flat_map(|eg| eg.storage().materialized_ids())
+            .collect()
     };
     assert!(!ids.is_empty());
     let mut freed = 0;
@@ -324,4 +375,14 @@ fn evicted_artifacts_recompute_instead_of_erroring() {
     // The resubmission cannot load anything, so it recomputes — cleanly.
     let (_, report) = server.run_workload(workload(&healthy)).unwrap();
     assert_eq!(report.ops_executed, 3, "{report:?}");
+}
+
+#[test]
+fn evicted_artifacts_recompute_instead_of_erroring() {
+    recompute_evicted_artifacts(1);
+}
+
+#[test]
+fn evicted_artifacts_recompute_instead_of_erroring_sharded() {
+    recompute_evicted_artifacts(8);
 }

@@ -456,7 +456,8 @@ fn scrub_heals_a_bit_flipped_cold_column_byte_identically() {
     let mid = rotted.len() / 2;
     rotted[mid] ^= 0x40;
     std::fs::write(&path, &rotted).unwrap();
-    server.eg_mut().storage_mut().evict(id);
+    let k = server.shards().shard_index(id);
+    server.shards().write(k).storage_mut().evict(id);
 
     let outcome = server.scrub();
     assert!(outcome.checked >= 1);

@@ -5,7 +5,7 @@
 
 use co_core::{OptimizerServer, Script, ServerConfig};
 use co_dataframe::ops::{MapFn, Predicate};
-use co_graph::{FaultInjector, WorkloadDag};
+use co_graph::{FaultInjector, GraphQuery, WorkloadDag};
 use co_ml::linear::LogisticParams;
 use co_workloads::data::{creditg, CreditG};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,10 +48,12 @@ fn filter_train(data: &CreditG) -> WorkloadDag {
 /// thread continuously drops artifact contents. Every run must succeed
 /// (planned loads that miss degrade to recomputation), and the lifetime
 /// stats must equal the sum of the per-run reports.
-#[test]
-fn contended_submissions_with_evictions_all_succeed() {
+fn submissions_with_evictions_all_succeed(shards: usize) {
     let data = creditg(200, 0);
-    let server = Arc::new(OptimizerServer::new(ServerConfig::collaborative(u64::MAX)));
+    let server = Arc::new(OptimizerServer::new(ServerConfig {
+        shards,
+        ..ServerConfig::collaborative(u64::MAX)
+    }));
     let stop = AtomicBool::new(false);
     let reports = parking_lot::Mutex::new(Vec::new());
 
@@ -61,7 +63,12 @@ fn contended_submissions_with_evictions_all_succeed() {
             let stop = &stop;
             scope.spawn(move |_| {
                 while !stop.load(Ordering::Relaxed) {
-                    let ids = server.eg().storage().materialized_ids();
+                    let ids: Vec<_> = {
+                        let view = server.shards().view();
+                        view.graphs()
+                            .flat_map(|eg| eg.storage().materialized_ids())
+                            .collect()
+                    };
                     for id in ids {
                         server.evict_artifact(id);
                     }
@@ -116,16 +123,29 @@ fn contended_submissions_with_evictions_all_succeed() {
         .sum();
     assert!((stats.run_seconds - run_sum).abs() < 1e-9);
     // Every distinct model landed in the shared graph despite evictions.
-    let eg = server.eg();
+    let view = server.shards().view();
     for t in 0..4u32 {
         for r in 0..3u32 {
             let lr = 0.05 + 0.05 * f64::from(t * 3 + r);
             let dag = map_train(&data, lr);
             for node in dag.nodes() {
-                assert!(eg.contains(node.artifact), "lr={lr} artifact missing");
+                assert!(
+                    view.lookup(node.artifact).is_some(),
+                    "lr={lr} artifact missing"
+                );
             }
         }
     }
+}
+
+#[test]
+fn contended_submissions_with_evictions_all_succeed() {
+    submissions_with_evictions_all_succeed(1);
+}
+
+#[test]
+fn contended_submissions_with_evictions_all_succeed_sharded() {
+    submissions_with_evictions_all_succeed(8);
 }
 
 /// The acceptance demonstration that no EG lock is held during

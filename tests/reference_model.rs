@@ -80,7 +80,7 @@ fn workload(rng: &mut StdRng) -> WorkloadDag {
 }
 
 fn assert_same(step: usize, server: &OptimizerServer, model: &ExperimentGraph) {
-    let eg = server.eg();
+    let eg = server.shards().read(0);
     assert_eq!(eg.n_vertices(), model.n_vertices(), "step {step}");
     assert_eq!(eg.topo_order(), model.topo_order(), "step {step}");
     assert_eq!(eg.sources(), model.sources(), "step {step}");

@@ -106,7 +106,6 @@ fn kaggle_w1_is_invariant_across_systems() {
             warmstart: false,
             retry: co_core::RetryPolicy::default(),
             quarantine_after: Some(3),
-            df_threads: None,
             shards: 1,
         });
         // Warm the graph with related workloads first so reuse genuinely
@@ -137,7 +136,6 @@ fn kaggle_w8_is_invariant_across_systems() {
             warmstart: false,
             retry: co_core::RetryPolicy::default(),
             quarantine_after: Some(3),
-            df_threads: None,
             shards: 1,
         });
         srv.run_workload(kaggle::w1(&data).unwrap()).unwrap();
@@ -166,7 +164,6 @@ fn openml_pipelines_are_invariant_across_systems() {
                 warmstart: false,
                 retry: co_core::RetryPolicy::default(),
                 quarantine_after: Some(3),
-                df_threads: None,
                 shards: 1,
             });
             for warm in 0..run_idx.min(4) {

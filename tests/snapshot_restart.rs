@@ -1,27 +1,34 @@
-//! Server-restart behavior: the Experiment Graph's meta-data survives
-//! through a snapshot; contents repopulate as workloads execute.
+//! Server-restart behavior: the Experiment Graph's meta-data survives a
+//! restart from its data directory; contents repopulate as workloads
+//! execute.
 
-use co_core::{OptimizerServer, ServerConfig};
-use co_graph::snapshot;
+use co_core::{DurabilityConfig, OptimizerServer, ServerConfig};
+use co_graph::{snapshot, GraphQuery};
 use co_workloads::data::{home_credit, HomeCreditScale};
 use co_workloads::kaggle;
+use std::path::PathBuf;
 
 #[test]
 fn restart_keeps_meta_and_regains_reuse() {
     let data = home_credit(&HomeCreditScale::tiny());
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("restart_keeps_meta");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig::collaborative(u64::MAX);
 
-    // Session 1: run two workloads, snapshot the graph.
-    let first = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
-    first.run_workload(kaggle::w1(&data).unwrap()).unwrap();
-    first.run_workload(kaggle::w2(&data).unwrap()).unwrap();
-    let text = snapshot::to_snapshot(&first.eg()).unwrap();
-    let n_before = first.eg().n_vertices();
+    // Session 1: run two workloads, compact the journals into snapshots,
+    // then drop the server (the "restart").
+    let n_before = {
+        let (first, _) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
+        first.run_workload(kaggle::w1(&data).unwrap()).unwrap();
+        first.run_workload(kaggle::w2(&data).unwrap()).unwrap();
+        first.flush_durable().unwrap();
+        let n = first.shards().view().n_vertices();
+        n
+    };
 
-    // Session 2 (after a "restart"): restore the meta-data.
-    let restored = snapshot::from_snapshot(&text, true).unwrap();
-    assert_eq!(restored.n_vertices(), n_before);
-    let second =
-        OptimizerServer::with_graph(ServerConfig::collaborative(u64::MAX), restored).unwrap();
+    // Session 2: reopen the data directory; the meta-data is back.
+    let (second, _) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
+    assert_eq!(second.shards().view().n_vertices(), n_before);
 
     // The graph knows every artifact of W1 (frequencies, costs) but holds
     // no content, so the first resubmission recomputes —
@@ -30,10 +37,10 @@ fn restart_keeps_meta_and_regains_reuse() {
     assert!(rerun.ops_executed > 0);
     // — and frequencies carried over: W1's artifacts now have f >= 2.
     {
-        let eg = second.eg();
+        let view = second.shards().view();
         let w1 = kaggle::w1(&data).unwrap();
         let some_artifact = w1.nodes().last().unwrap().artifact;
-        assert!(eg.vertex(some_artifact).unwrap().frequency >= 2);
+        assert!(view.lookup(some_artifact).unwrap().frequency >= 2);
     }
 
     // The updater re-materialized during that run: the *next* repeat
@@ -47,36 +54,21 @@ fn restart_keeps_meta_and_regains_reuse() {
 }
 
 #[test]
-fn restore_rejects_mismatched_dedup_mode() {
-    let data = home_credit(&HomeCreditScale::tiny());
-    let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
-    server.run_workload(kaggle::w1(&data).unwrap()).unwrap();
-    let text = snapshot::to_snapshot(&server.eg()).unwrap();
-
-    // Restored with a plain (non-dedup) store, but the storage-aware
-    // materializer budgets deduplicated bytes: the constructor refuses.
-    let plain = snapshot::from_snapshot(&text, false).unwrap();
-    let err = OptimizerServer::with_graph(ServerConfig::collaborative(u64::MAX), plain);
-    assert!(matches!(
-        err,
-        Err(co_graph::GraphError::InvalidStructure(_))
-    ));
-
-    // And the other way around: a dedup store under a baseline config.
-    let dedup = snapshot::from_snapshot(&text, true).unwrap();
-    let err = OptimizerServer::with_graph(ServerConfig::baseline(), dedup);
-    assert!(matches!(
-        err,
-        Err(co_graph::GraphError::InvalidStructure(_))
-    ));
-}
-
-#[test]
 fn snapshot_is_stable_across_round_trips() {
     let data = home_credit(&HomeCreditScale::tiny());
-    let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
-    server.run_workload(kaggle::w4(&data).unwrap()).unwrap();
-    let once = snapshot::to_snapshot(&server.eg()).unwrap();
-    let twice = snapshot::to_snapshot(&snapshot::from_snapshot(&once, true).unwrap()).unwrap();
-    assert_eq!(once, twice, "snapshot must be a fixpoint");
+    for shards in [1, 8] {
+        let server = OptimizerServer::new(ServerConfig {
+            shards,
+            ..ServerConfig::collaborative(u64::MAX)
+        });
+        server.run_workload(kaggle::w4(&data).unwrap()).unwrap();
+        let view = server.shards().view();
+        for (k, eg) in view.graphs().enumerate() {
+            let once = snapshot::to_shard_snapshot(eg, &[], 0).unwrap();
+            let restored = snapshot::from_shard_snapshot(&once, true, "w4").unwrap();
+            let twice =
+                snapshot::to_shard_snapshot(&restored.graph, &restored.quarantine, 0).unwrap();
+            assert_eq!(once, twice, "shard {k} of {shards}: not a fixpoint");
+        }
+    }
 }

@@ -307,7 +307,8 @@ fn populated_server() -> OptimizerServer {
 #[test]
 fn executed_workload_graphs_are_fsck_clean() {
     let server = populated_server();
-    let report = fsck::check_graph(&server.eg());
+    let view = server.shards().view();
+    let report = fsck::check_shards(&view.graphs().collect::<Vec<_>>(), &[]);
     assert!(report.is_clean(), "{report}");
     assert!(report.vertices >= 5);
 }
@@ -317,7 +318,7 @@ fn fsck_catches_each_seeded_graph_corruption() {
     // Rewired edge: a vertex claiming a topologically later parent.
     {
         let server = populated_server();
-        let mut eg = server.eg_mut();
+        let mut eg = server.shards().write(0);
         let (early, late) = (eg.topo_order()[1], *eg.topo_order().last().unwrap());
         eg.vertex_mut(early).unwrap().parents.push(late);
         let report = fsck::check_graph(&eg);
@@ -326,7 +327,7 @@ fn fsck_catches_each_seeded_graph_corruption() {
     // Dangling edge: a parent the graph never defined.
     {
         let server = populated_server();
-        let mut eg = server.eg_mut();
+        let mut eg = server.shards().write(0);
         let v = eg.topo_order()[1];
         eg.vertex_mut(v).unwrap().parents.push(ArtifactId(0xdead));
         let report = fsck::check_graph(&eg);
@@ -336,7 +337,7 @@ fn fsck_catches_each_seeded_graph_corruption() {
     // and a restored flag pointing nowhere.
     {
         let server = populated_server();
-        let mut eg = server.eg_mut();
+        let mut eg = server.shards().write(0);
         eg.storage_mut()
             .store(ArtifactId(0xbeef), &Value::dataset(frame()));
         eg.mark_restored_materialized(ArtifactId(0xfeed));
@@ -347,7 +348,7 @@ fn fsck_catches_each_seeded_graph_corruption() {
     // Attribute skew.
     {
         let server = populated_server();
-        let mut eg = server.eg_mut();
+        let mut eg = server.shards().write(0);
         let v = eg.topo_order()[0];
         eg.vertex_mut(v).unwrap().frequency = 0;
         let report = fsck::check_graph(&eg);
