@@ -89,10 +89,10 @@ impl NetFault {
 }
 
 /// A storage I/O failure the [`crate::vfs`] layer can inject into any
-/// durability file operation (journal append, snapshot write, cold
-/// column files). Unlike a crash cut, the process survives: the
-/// *operation* fails, exactly as a full disk or a flaky device would
-/// make it fail, and the caller must degrade gracefully.
+/// durability file operation (journal append, snapshot write, stray-tmp
+/// sweep). Unlike a crash cut, the process survives: the *operation*
+/// fails, exactly as a full disk or a flaky device would make it fail,
+/// and the caller must degrade gracefully.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoFault {
     /// A write fails with "no space left on device" before any byte

@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 pub mod artifact;
-pub mod cold;
 pub mod error;
 pub mod experiment;
 pub mod export;
@@ -41,7 +40,6 @@ pub mod vfs;
 pub mod workload;
 
 pub use artifact::{ArtifactId, ArtifactMeta, NodeKind};
-pub use cold::{ColdStore, ScrubOutcome};
 pub use error::{GraphError, Result};
 pub use experiment::{EgVertex, ExperimentGraph};
 pub use faults::{FaultInjector, FaultKind, IoFault, NetFault};

@@ -2,11 +2,10 @@
 //! fault injection.
 //!
 //! Every byte the durability code persists — journal appends, snapshot
-//! temp files and renames, cold column files — flows through this
-//! module, so a single [`IoFault`] schedule on the shared
-//! [`FaultInjector`] can make *any* of those operations fail exactly as
-//! a full disk (ENOSPC), a flaky device (EIO), a torn write, or a
-//! failed `fsync` would.
+//! temp files and renames — flows through this module, so a single
+//! [`IoFault`] schedule on the shared [`FaultInjector`] can make *any*
+//! of those operations fail exactly as a full disk (ENOSPC), a flaky
+//! device (EIO), a torn write, or a failed `fsync` would.
 //!
 //! ## fsyncgate semantics
 //!
@@ -238,7 +237,7 @@ pub fn read_to_string(path: &Path, faults: Option<&FaultInjector>) -> io::Result
     fs::read_to_string(path)
 }
 
-/// Create a directory and all its parents (store/cold-dir setup).
+/// Create a directory and all its parents (data-dir setup).
 pub fn create_dir_all(dir: &Path, faults: Option<&FaultInjector>) -> io::Result<()> {
     alive(faults)?;
     if fires(faults, IoFault::Enospc) {
@@ -248,7 +247,7 @@ pub fn create_dir_all(dir: &Path, faults: Option<&FaultInjector>) -> io::Result<
 }
 
 /// List a directory's entry paths, sorted for deterministic iteration
-/// (cold-store scans, stray-tmp sweeps).
+/// (stray-tmp sweeps).
 pub fn read_dir_sorted(dir: &Path, faults: Option<&FaultInjector>) -> io::Result<Vec<PathBuf>> {
     alive(faults)?;
     if fires(faults, IoFault::ReadErr) {
@@ -271,7 +270,7 @@ pub fn rename(from: &Path, to: &Path, faults: Option<&FaultInjector>) -> io::Res
     fs::rename(from, to)
 }
 
-/// Remove a file (stray-tmp cleanup, cold-column eviction).
+/// Remove a file (stray-tmp cleanup).
 pub fn remove_file(path: &Path, faults: Option<&FaultInjector>) -> io::Result<()> {
     alive(faults)?;
     if fires(faults, IoFault::WriteErr) {

@@ -215,9 +215,6 @@ impl Shared {
             repair_attempts: core.repair_attempts as u64,
             repairs_succeeded: core.repairs_succeeded as u64,
             publishes_rejected_readonly: core.publishes_rejected_readonly as u64,
-            scrub_checked: core.scrub_checked as u64,
-            scrub_healed: core.scrub_healed as u64,
-            scrub_quarantined: core.scrub_quarantined as u64,
             draining: self.state() != RUNNING,
         }
     }

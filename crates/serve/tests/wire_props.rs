@@ -143,9 +143,8 @@ fn arb_stats() -> impl Strategy<Value = StatsSnapshot> {
         ),
         (0u64..1000, prop_bool::ANY, 1u64..16, 0u64..1_000_000),
         (0u64..3, 0u64..1000, 0u64..1000, 0u64..1000),
-        (0u64..1000, 0u64..1000, 0u64..1000),
     )
-        .prop_map(|(a, b, c, d, e, f)| StatsSnapshot {
+        .prop_map(|(a, b, c, d, e)| StatsSnapshot {
             workloads: a.0,
             ops_executed: a.1,
             artifacts_loaded: a.2,
@@ -171,9 +170,6 @@ fn arb_stats() -> impl Strategy<Value = StatsSnapshot> {
             repair_attempts: e.1,
             repairs_succeeded: e.2,
             publishes_rejected_readonly: e.3,
-            scrub_checked: f.0,
-            scrub_healed: f.1,
-            scrub_quarantined: f.2,
         })
 }
 

@@ -3,8 +3,7 @@
 //! (shards = 1 and shards = 8), and a serve-level run composing I/O
 //! faults with network faults. The fixed windows cover ENOSPC and failed
 //! fsyncs; the seeded schedules (splitmix, replayable by seed) run all
-//! four write-side faults in seeded order and length with cold columns
-//! on, then rot a cold column for the scrubber to heal. After every
+//! four write-side faults in seeded order and length. After every
 //! scenario: the server returns to `Healthy` once the faults clear, a
 //! reopened data directory holds exactly what the live server held,
 //! egfsck is clean, and no client is left stuck.
@@ -13,10 +12,8 @@
 mod support;
 
 use co_core::{DurabilityConfig, DurabilityHealth, OptimizerServer};
-use co_dataframe::{Column, ColumnData, DataFrame, Scalar};
-use co_graph::{
-    FaultInjector, GraphError, IoFault, NetFault, NodeKind, Operation, Value, WorkloadDag,
-};
+use co_dataframe::ColumnData;
+use co_graph::{FaultInjector, IoFault, NetFault};
 use co_serve::{
     start, AggSpec, Client, Response, RetryConfig, ServeConfig, SpecStep, WorkloadSpec,
 };
@@ -60,55 +57,16 @@ fn seeded_windows(seed: u64, shards: usize) -> Vec<Window> {
     windows
 }
 
-/// Deterministic dataset producer, so the drill exercises the cold
-/// store: materialized at publish, recomputable from lineage at scrub.
-struct Make;
-impl Operation for Make {
-    fn name(&self) -> &str {
-        "chaos_make"
-    }
-    fn params_digest(&self) -> String {
-        String::new()
-    }
-    fn output_kind(&self) -> NodeKind {
-        NodeKind::Dataset
-    }
-    fn run(&self, _inputs: &[&Value]) -> co_graph::Result<Value> {
-        std::thread::sleep(Duration::from_millis(2));
-        let df = DataFrame::new(vec![Column::source(
-            "chaos_src",
-            "ints",
-            ColumnData::Int((0..128).collect()),
-        )])
-        .map_err(|e| GraphError::op_failed("chaos_make", e.to_string()))?;
-        Ok(Value::dataset(df))
-    }
-}
-
 /// The core chaos scenario: 4 concurrent publishers (each at least 30
 /// rounds, and on until the last window closes) while `windows` open
 /// and close; every failure transient, full convergence afterwards.
-/// With `cold_columns`, one dataset artifact is mirrored to a cold file
-/// before the storm and bit-rotted after it, and the scrubber must heal
-/// it byte-identically from lineage.
-fn storage_chaos(name: &str, shards: usize, cold_columns: bool, windows: &[Window]) {
+fn storage_chaos(name: &str, shards: usize, windows: &[Window]) {
     let dir = data_dir(name);
     let config = config_for(shards);
-    let mut durability = DurabilityConfig::new(&dir);
-    durability.cold_columns = cold_columns;
-    let (server, _) = OptimizerServer::open(config, durability).unwrap();
+    let (server, _) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
     let server = Arc::new(server);
     let faults = Arc::new(FaultInjector::new());
     server.set_fault_injector(Arc::clone(&faults));
-
-    let cold_id = cold_columns.then(|| {
-        let mut dag = WorkloadDag::new();
-        let s = dag.add_source("chaos_src", Value::Aggregate(Scalar::Float(0.0)));
-        let m = dag.add_op(Arc::new(Make), &[s]).unwrap();
-        dag.mark_terminal(m).unwrap();
-        let (dag, _) = server.run_workload(dag).unwrap();
-        dag.nodes()[m.0].artifact
-    });
 
     const PUBLISHERS: usize = 4;
     const ROUNDS: usize = 30;
@@ -164,36 +122,19 @@ fn storage_chaos(name: &str, shards: usize, cold_columns: bool, windows: &[Windo
     server.run_workload(workload("chaos_after")).unwrap();
     server.flush_durable().unwrap();
 
-    if let Some(id) = cold_id {
-        // Bit rot in the seeded cold column: the scrubber heals it from
-        // lineage, byte-identically (the cold encoding is deterministic).
-        let path = dir.join("cold").join(format!("cold-{:016x}.col", id.0));
-        let pristine = std::fs::read(&path).expect("cold column written");
-        let mut rotted = pristine.clone();
-        let mid = rotted.len() / 2;
-        rotted[mid] ^= 0x10;
-        std::fs::write(&path, &rotted).unwrap();
-        let scrub = server.scrub();
-        assert!(scrub.healed >= 1, "bit rot must heal: {scrub:?}");
-        assert_eq!(scrub.quarantined, 0, "nothing here is unrecoverable");
-        assert_eq!(std::fs::read(&path).unwrap(), pristine);
-    }
-
     // Reopen: the directory holds exactly what the live server held —
     // committed publishes plus the healed backlog, nothing torn.
     let live = fingerprint(&server);
     assert_eq!(server.stats().durability_health, 0);
     drop(server);
-    let mut durability = DurabilityConfig::new(&dir);
-    durability.cold_columns = cold_columns;
-    let (reopened, _) = OptimizerServer::open(config, durability).unwrap();
+    let (reopened, _) = OptimizerServer::open(config, DurabilityConfig::new(&dir)).unwrap();
     assert_eq!(fingerprint(&reopened), live, "{name}");
     assert_fsck_clean(&reopened, &dir);
 }
 
 fn fixed_window(shards: usize, fault: IoFault) {
     let name = format!("chaos_s{shards}_{}", fault.name());
-    storage_chaos(&name, shards, false, &[(30, fault, 80)]);
+    storage_chaos(&name, shards, &[(30, fault, 80)]);
 }
 
 #[test]
@@ -216,17 +157,11 @@ fn chaos_fsync_window_sharded() {
     fixed_window(8, IoFault::FsyncFail);
 }
 
-/// The seeded schedule at both shard counts, with cold columns and the
-/// scrub step.
+/// The seeded schedule at both shard counts.
 fn seeded_chaos(seed: u64) {
     for shards in [1, 8] {
         let windows = seeded_windows(seed, shards);
-        storage_chaos(
-            &format!("chaos_seed{seed}_s{shards}"),
-            shards,
-            true,
-            &windows,
-        );
+        storage_chaos(&format!("chaos_seed{seed}_s{shards}"), shards, &windows);
     }
 }
 
