@@ -38,13 +38,14 @@ impl GreedyMaterializer {
     /// reserve budget.
     fn desired(
         &self,
-        eg: &ExperimentGraph,
+        eg: &mut ExperimentGraph,
         available: &HashMap<ArtifactId, Value>,
         cost: &CostModel,
     ) -> Vec<ArtifactId> {
+        let ranked = utilities(eg, cost, self.alpha);
         let mut picked = Vec::new();
         let mut used = source_store_bytes(eg);
-        for c in utilities(eg, cost, self.alpha) {
+        for c in ranked {
             if self.max_artifacts.is_some_and(|m| picked.len() >= m) {
                 break;
             }
@@ -73,15 +74,13 @@ impl Materializer for GreedyMaterializer {
     ) {
         let desired = self.desired(eg, available, cost);
         let desired_set: HashSet<ArtifactId> = desired.iter().copied().collect();
-        // Collect contents before evicting (eviction drops them).
-        let contents: Vec<(ArtifactId, Value)> = desired
-            .iter()
-            .filter_map(|id| content_of(eg, available, *id).map(|v| (*id, v)))
-            .collect();
         evict_except(eg, &desired_set);
-        for (id, value) in contents {
+        // A desired artifact is either stored already or in `available`.
+        for id in desired {
             if !eg.is_materialized(id) {
-                eg.storage_mut().store(id, &value);
+                if let Some(value) = content_of(available, id) {
+                    eg.storage_mut().store(id, &value);
+                }
             }
         }
     }

@@ -9,7 +9,7 @@
 use super::{content_of, Materializer};
 use crate::cost::CostModel;
 use co_graph::{ArtifactId, ExperimentGraph, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Root-first threshold materializer.
 #[derive(Debug, Clone, Copy)]
@@ -29,8 +29,6 @@ impl Materializer for HelixMaterializer {
         available: &HashMap<ArtifactId, Value>,
         cost: &CostModel,
     ) {
-        let recreation = eg.recreation_costs();
-        let sources: HashSet<ArtifactId> = eg.sources().iter().copied().collect();
         // Bytes already committed (including the always-stored sources).
         let mut used: u64 = eg
             .storage()
@@ -39,27 +37,28 @@ impl Materializer for HelixMaterializer {
             .filter_map(|id| eg.vertex(id).ok().map(|v| v.size))
             .sum();
 
-        let order: Vec<ArtifactId> = eg.topo_order().to_vec();
-        for id in order {
-            if sources.contains(&id) || eg.is_materialized(id) {
+        eg.refresh_scores();
+        let Some((recreation, _)) = eg.maintained_scores() else {
+            return;
+        };
+        // Root-first, first-fit over the topological order: the
+        // high-utility artifacts at the end of large workloads find the
+        // budget already spent on early artifacts (paper §7.2/§7.3).
+        let mut admitted = Vec::new();
+        for (v, &cr) in eg.vertices().zip(recreation) {
+            if v.op_hash.is_none() || v.size == 0 || eg.is_materialized(v.id) {
                 continue;
             }
-            let Some(size) = eg.vertex(id).ok().map(|v| v.size) else {
-                continue;
-            };
-            if size == 0 {
-                continue;
-            }
-            let cl = cost.load_cost(size);
-            if recreation[&id] > 2.0 * cl && used + size <= self.budget {
-                // Root-first, first-fit: the high-utility artifacts at the
-                // end of large workloads find the budget already spent on
-                // early artifacts (paper §7.2/§7.3).
-                if let Some(value) = content_of(eg, available, id) {
-                    eg.storage_mut().store(id, &value);
-                    used += size;
+            let cl = cost.load_cost(v.size);
+            if cr > 2.0 * cl && used + v.size <= self.budget {
+                if let Some(value) = content_of(available, v.id) {
+                    admitted.push((v.id, value));
+                    used += v.size;
                 }
             }
+        }
+        for (id, value) in admitted {
+            eg.storage_mut().store(id, &value);
         }
     }
 }

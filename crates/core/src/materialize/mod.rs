@@ -1,13 +1,25 @@
 //! Artifact materialization under a storage budget (paper §5).
 //!
-//! Materializers run inside the server's updater after each workload: they
-//! look at the whole Experiment Graph, decide which artifact contents to
-//! keep, evict what no longer earns its bytes, and store what does (when
-//! the content is at hand — either in the just-executed workload or
-//! already in the store).
+//! Materializers run inside the server's updater after each workload:
+//! they decide which artifact contents to keep, evict what no longer
+//! earns its bytes, and store what does when the just-executed workload
+//! holds the content. A publish costs work in proportion to what it
+//! changed, not to the size of the Experiment Graph: the graph maintains
+//! every vertex's recreation cost and potential and the pool of
+//! candidates whose utility can be nonzero
+//! ([`ExperimentGraph::candidates`]), so ranking re-sorts the pool
+//! instead of rescoring every vertex; and the storage-aware simulation
+//! replays the ranking against column ids and byte counts
+//! ([`co_graph::Footprint`]) taken from the workload's values and the
+//! store's artifact table. No materializer reads content back from the
+//! store. The full-pass ranking and simulation survive as the
+//! [`oracle`] that debug builds check every single-shard publish
+//! against.
 
 mod greedy;
 mod helix;
+#[cfg(any(test, debug_assertions))]
+pub mod oracle;
 mod simple;
 mod storage_aware;
 
@@ -17,6 +29,7 @@ pub use simple::{AllMaterializer, NoneMaterializer};
 pub use storage_aware::StorageAwareMaterializer;
 
 use crate::cost::CostModel;
+use crate::server::{MaterializerKind, ServerConfig};
 use co_graph::{ArtifactId, ExperimentGraph, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -35,6 +48,32 @@ pub trait Materializer: Send + Sync {
     );
 }
 
+/// The materializer a server configuration asks for.
+#[must_use]
+pub fn for_config(config: &ServerConfig) -> Box<dyn Materializer> {
+    match config.materializer {
+        MaterializerKind::StorageAware => Box::new(StorageAwareMaterializer {
+            budget: config.budget,
+            alpha: config.alpha,
+        }),
+        MaterializerKind::Greedy => Box::new(GreedyMaterializer {
+            budget: config.budget,
+            alpha: config.alpha,
+            max_artifacts: None,
+        }),
+        MaterializerKind::GreedyCapped(n) => Box::new(GreedyMaterializer {
+            budget: config.budget,
+            alpha: config.alpha,
+            max_artifacts: Some(n),
+        }),
+        MaterializerKind::Helix => Box::new(HelixMaterializer {
+            budget: config.budget,
+        }),
+        MaterializerKind::All => Box::new(AllMaterializer),
+        MaterializerKind::None => Box::new(NoneMaterializer),
+    }
+}
+
 /// A scored materialization candidate.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Candidate {
@@ -50,56 +89,52 @@ pub(crate) struct Candidate {
     pub rcs_norm: f64,
 }
 
-/// Compute the utility of every non-source vertex (paper §5.2,
+/// A candidate's raw utility terms: potential `p` and weighted
+/// cost-size ratio `rcs = f·Cr/s`.
+pub(crate) struct Raw {
+    pub id: ArtifactId,
+    pub size: u64,
+    pub p: f64,
+    pub rcs: f64,
+}
+
+/// Compute the utility of every candidate vertex (paper §5.2,
 /// Equation 2):
 ///
 /// `U(v) = 0` when `Cl(v) >= Cr(v)` (recomputing beats loading — never
 /// materialize), otherwise `α·p'(v) + (1-α)·r'cs(v)` with `p` the model
 /// potential, `rcs = f·Cr/s` the weighted cost-size ratio, both normalized
-/// by their totals. Zero-utility vertices are omitted. The result is
+/// by their totals. Zero-utility vertices (and sources and scalar
+/// aggregates) are not in the graph's candidate pool. The result is
 /// sorted by descending utility (ties broken by id for determinism).
-pub(crate) fn utilities(eg: &ExperimentGraph, cost: &CostModel, alpha: f64) -> Vec<Candidate> {
-    let recreation = eg.recreation_costs();
-    let potential = eg.potentials();
-    let sources: HashSet<ArtifactId> = eg.sources().iter().copied().collect();
+///
+/// Scalar aggregates are excluded: an 8-byte score whose recreation cost
+/// is the whole pipeline has an unbounded cost-size ratio and would
+/// degenerate the ranking; the paper's materialization targets are
+/// datasets and models (§5.1's metrics are column overlap and model
+/// quality).
+pub(crate) fn utilities(eg: &mut ExperimentGraph, cost: &CostModel, alpha: f64) -> Vec<Candidate> {
+    let raw = eg
+        .candidates(cost)
+        .into_iter()
+        .map(|s| Raw {
+            id: s.vertex.id,
+            size: s.vertex.size,
+            p: s.potential,
+            rcs: s.vertex.frequency as f64 * s.recreation_cost / s.vertex.size as f64,
+        })
+        .collect();
+    rank(raw, alpha)
+}
 
-    struct Raw {
-        id: ArtifactId,
-        size: u64,
-        p: f64,
-        rcs: f64,
-    }
-    let mut raw: Vec<Raw> = Vec::new();
-    let mut p_sum = 0.0;
-    let mut rcs_sum = 0.0;
-    for v in eg.vertices() {
-        if sources.contains(&v.id) || v.size == 0 {
-            continue;
-        }
-        // Scalar aggregates are excluded: an 8-byte score whose
-        // recreation cost is the whole pipeline has an unbounded
-        // cost-size ratio and would degenerate the utility ranking; the
-        // paper's materialization targets are datasets and models
-        // (§5.1's metrics are column overlap and model quality).
-        if v.kind == co_graph::NodeKind::Aggregate {
-            continue;
-        }
-        let cr = recreation[&v.id];
-        let cl = cost.load_cost(v.size);
-        if cl >= cr {
-            continue; // Equation 2: utility 0, never materialize
-        }
-        let p = potential[&v.id];
-        let rcs = v.frequency as f64 * cr / v.size as f64;
-        p_sum += p;
-        rcs_sum += rcs;
-        raw.push(Raw {
-            id: v.id,
-            size: v.size,
-            p,
-            rcs,
-        });
-    }
+/// Normalize and sort candidates. `raw` is in ascending id order, and
+/// `Σp` and `Σrcs` are summed in that order, so the utilities do not
+/// depend on how the candidates were found. The whole pool is re-sorted
+/// on every call: the two normalizers differ, so when `Σp : Σrcs` moves
+/// two candidates whose `p` and `rcs` disagree can swap.
+pub(crate) fn rank(raw: Vec<Raw>, alpha: f64) -> Vec<Candidate> {
+    let p_sum: f64 = raw.iter().map(|r| r.p).sum();
+    let rcs_sum: f64 = raw.iter().map(|r| r.rcs).sum();
     let mut out: Vec<Candidate> = raw
         .into_iter()
         .map(|r| {
@@ -127,14 +162,11 @@ pub(crate) fn utilities(eg: &ExperimentGraph, cost: &CostModel, alpha: f64) -> V
     out
 }
 
-/// Retrieve content for an artifact: from the just-executed workload, or
-/// from the store itself (for re-evaluation of already-stored artifacts).
-pub(crate) fn content_of(
-    eg: &ExperimentGraph,
-    available: &HashMap<ArtifactId, Value>,
-    id: ArtifactId,
-) -> Option<Value> {
-    available.get(&id).cloned().or_else(|| eg.storage().get(id))
+/// Content for an artifact the materializer is about to store: only the
+/// just-executed workload's values qualify (an artifact already in the
+/// store needs no content to stay there).
+pub(crate) fn content_of(available: &HashMap<ArtifactId, Value>, id: ArtifactId) -> Option<Value> {
+    available.get(&id).cloned()
 }
 
 /// Bytes the always-stored source artifacts occupy, by vertex size.
@@ -248,8 +280,8 @@ mod tests {
     #[test]
     fn utility_zero_when_load_beats_recompute() {
         // b is huge relative to its recreation cost -> excluded.
-        let (eg, ids, _) = chain_eg(&[("a", 10.0, 2, 0.0), ("b", 0.5, 1000, 0.0)], false);
-        let cands = utilities(&eg, &unit(), 0.5);
+        let (mut eg, ids, _) = chain_eg(&[("a", 10.0, 2, 0.0), ("b", 0.5, 1000, 0.0)], false);
+        let cands = utilities(&mut eg, &unit(), 0.5);
         assert!(cands.iter().any(|c| c.id == ids[0]));
         assert!(!cands.iter().any(|c| c.id == ids[1]));
     }
@@ -257,17 +289,17 @@ mod tests {
     #[test]
     fn quality_raises_utility_with_alpha() {
         // Same cost/size, but m is a model with quality 0.9.
-        let (eg, ids, _) = chain_eg(&[("a", 10.0, 2, 0.0), ("m", 10.0, 2, 0.9)], false);
+        let (mut eg, ids, _) = chain_eg(&[("a", 10.0, 2, 0.0), ("m", 10.0, 2, 0.9)], false);
         // alpha = 1: only potential matters. The ancestor `a` also carries
         // the model's potential, so both are tied; `m` itself must be
         // strictly ahead of nothing. With alpha = 0 they tie on rcs by
         // construction? a has Cr = 10, m has Cr = 20 -> different.
-        let by_quality = utilities(&eg, &unit(), 1.0);
+        let by_quality = utilities(&mut eg, &unit(), 1.0);
         assert_eq!(
             by_quality.first().map(|c| c.utility),
             Some(by_quality[1].utility)
         );
-        let by_cost = utilities(&eg, &unit(), 0.0);
+        let by_cost = utilities(&mut eg, &unit(), 0.0);
         // With alpha = 0 the deeper vertex (larger Cr) wins.
         assert_eq!(by_cost[0].id, ids[1]);
         assert!(by_cost[0].utility > by_cost[1].utility);
@@ -278,7 +310,7 @@ mod tests {
         let (mut eg, ids, _) = chain_eg(&[("a", 10.0, 2, 0.0), ("b", 10.0, 2, 0.0)], false);
         // Artificially bump a's frequency.
         eg.vertex_mut(ids[0]).unwrap().frequency = 10;
-        let cands = utilities(&eg, &unit(), 0.0);
+        let cands = utilities(&mut eg, &unit(), 0.0);
         assert_eq!(cands[0].id, ids[0]);
     }
 
@@ -286,7 +318,7 @@ mod tests {
     fn eviction_spares_sources_and_desired() {
         let (mut eg, ids, available) = chain_eg(&[("a", 10.0, 2, 0.0), ("b", 10.0, 2, 0.0)], false);
         for id in &ids {
-            let v = content_of(&eg, &available, *id).unwrap();
+            let v = content_of(&available, *id).unwrap();
             eg.storage_mut().store(*id, &v);
         }
         let keep: HashSet<ArtifactId> = [ids[1]].into_iter().collect();

@@ -11,7 +11,8 @@
 
 use super::{content_of, evict_except, utilities, Materializer};
 use crate::cost::CostModel;
-use co_graph::{ArtifactId, ExperimentGraph, Value};
+use co_dataframe::ColumnId;
+use co_graph::{ArtifactId, ExperimentGraph, Footprint, Value};
 use std::collections::{HashMap, HashSet};
 
 /// The paper's `SA` materializer. Requires an Experiment Graph whose
@@ -29,6 +30,47 @@ impl StorageAwareMaterializer {
     #[must_use]
     pub fn new(budget: u64) -> Self {
         StorageAwareMaterializer { budget, alpha: 0.5 }
+    }
+}
+
+/// The simulated store: the column ids a set of artifacts would hold and
+/// the unique bytes they would take, kept without any content. It
+/// accounts exactly as the store does — a column id is paid for once,
+/// anything stored whole is paid for in full.
+#[derive(Debug, Default)]
+pub(crate) struct ColumnLedger {
+    columns: HashSet<ColumnId>,
+    unique_bytes: u64,
+}
+
+impl ColumnLedger {
+    pub(crate) fn unique_bytes(&self) -> u64 {
+        self.unique_bytes
+    }
+
+    /// Bytes admitting `footprint` would add.
+    pub(crate) fn marginal_bytes(&self, footprint: &Footprint) -> u64 {
+        match footprint {
+            Footprint::Whole(bytes) => *bytes,
+            Footprint::Columns(columns) => columns
+                .iter()
+                .filter(|(id, _)| !self.columns.contains(id))
+                .map(|(_, bytes)| bytes)
+                .sum(),
+        }
+    }
+
+    pub(crate) fn admit(&mut self, footprint: &Footprint) {
+        match footprint {
+            Footprint::Whole(bytes) => self.unique_bytes += bytes,
+            Footprint::Columns(columns) => {
+                for (id, bytes) in columns {
+                    if self.columns.insert(*id) {
+                        self.unique_bytes += bytes;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -54,39 +96,48 @@ impl Materializer for StorageAwareMaterializer {
         // repeat") in one pass: an artifact admitted by a later
         // meta-round — because earlier artifacts' columns already pay for
         // most of its bytes — is exactly an artifact whose marginal size
-        // fits here. Crucially, the set is decided *before* any eviction,
-        // while the content of currently-stored artifacts can still be
-        // read back.
-        // The simulation mirrors the real store's dedup mode: on a plain
-        // store marginal bytes equal nominal bytes, and SA degrades to
+        // fits here. The set is decided *before* any eviction.
+        //
+        // The simulation needs column ids and byte counts, not content:
+        // a candidate's footprint comes from the workload's value when
+        // it has one, else from the store's artifact table. It mirrors
+        // the real store's dedup mode: on a plain store footprints are
+        // whole, marginal bytes equal nominal bytes, and SA degrades to
         // exactly the greedy (HM) selection — the ablation in DESIGN.md.
-        let mut sim = co_graph::StorageManager::new(eg.storage().dedup_enabled());
+        let store = eg.storage();
+        let mut ledger = ColumnLedger::default();
         // Sources are stored unconditionally and count against the budget.
-        for src in eg.sources().to_vec() {
-            if let Some(value) = eg.storage().get(src) {
-                sim.store(src, &value);
+        for src in eg.sources() {
+            if let Some(footprint) = store.stored_footprint(*src) {
+                ledger.admit(&footprint);
             }
         }
-        let mut desired: Vec<(ArtifactId, Value)> = Vec::new();
+        let mut desired: Vec<ArtifactId> = Vec::new();
         for c in &ranked {
-            let Some(value) = content_of(eg, available, c.id) else {
-                continue;
+            let footprint = match available.get(&c.id) {
+                Some(value) => store.footprint_of(value),
+                None => match store.stored_footprint(c.id) {
+                    Some(footprint) => footprint,
+                    None => continue,
+                },
             };
-            let marginal = sim.marginal_bytes(&value);
-            if sim.unique_bytes() + marginal <= self.budget {
-                sim.store(c.id, &value);
-                desired.push((c.id, value));
+            if ledger.unique_bytes() + ledger.marginal_bytes(&footprint) <= self.budget {
+                ledger.admit(&footprint);
+                desired.push(c.id);
             }
         }
 
         // Displacement: artifacts outside the desired set lose their
         // slot (this is what makes the paper's Figure 6(a) dip after
         // Workload 3 possible).
-        let keep: HashSet<ArtifactId> = desired.iter().map(|(id, _)| *id).collect();
+        let keep: HashSet<ArtifactId> = desired.iter().copied().collect();
         evict_except(eg, &keep);
-        for (id, value) in desired {
+        // A desired artifact is either stored already or in `available`.
+        for id in desired {
             if !eg.is_materialized(id) {
-                eg.storage_mut().store(id, &value);
+                if let Some(value) = content_of(available, id) {
+                    eg.storage_mut().store(id, &value);
+                }
             }
         }
     }

@@ -11,8 +11,22 @@ pub struct ExecutionReport {
     /// Seconds the server spent in the reuse planner (the paper's "reuse
     /// overhead", Figure 9(d)).
     pub optimizer_seconds: f64,
-    /// Seconds the server spent in the materialization algorithm.
+    /// Seconds the server spent in the whole publish section — the sum
+    /// of the five `publish_*_seconds` phases below, of which the
+    /// materialization algorithm proper is `publish_materialize_seconds`.
     pub materializer_seconds: f64,
+    /// Publish phase: from entering the publish through acquiring the
+    /// touched shards' write locks (admission checks included).
+    pub publish_lock_wait_seconds: f64,
+    /// Publish phase: noting which merged vertices are new, for the
+    /// journal deltas (durable servers only).
+    pub publish_capture_seconds: f64,
+    /// Publish phase: merging the executed DAG into the graph.
+    pub publish_merge_seconds: f64,
+    /// Publish phase: the materializer, and the baseline-cost estimate.
+    pub publish_materialize_seconds: f64,
+    /// Publish phase: journaling the deltas and folding the stats.
+    pub publish_persist_seconds: f64,
     /// Operations executed.
     pub ops_executed: usize,
     /// Artifacts loaded from the Experiment Graph.
@@ -34,6 +48,13 @@ pub struct ExecutionReport {
     /// Vertices from a *failed* run that were still merged into the
     /// Experiment Graph (0 for successful runs; set by the server).
     pub salvaged_artifacts: usize,
+    /// Vertices whose maintained recreation cost or potential the
+    /// publish recomputed (the first ranking of a graph recomputes all).
+    pub vertices_rescored: u64,
+    /// Candidates the publish's utility ranking sorted.
+    pub candidates_ranked: u64,
+    /// Bytes of content the materializer read back from the store.
+    pub materializer_bytes_read: u64,
 }
 
 impl ExecutionReport {
@@ -49,12 +70,26 @@ impl ExecutionReport {
         self.run_seconds() + self.optimizer_seconds + self.materializer_seconds
     }
 
+    /// Set `materializer_seconds` to the sum of the publish phases.
+    pub fn sum_publish_phases(&mut self) {
+        self.materializer_seconds = self.publish_lock_wait_seconds
+            + self.publish_capture_seconds
+            + self.publish_merge_seconds
+            + self.publish_materialize_seconds
+            + self.publish_persist_seconds;
+    }
+
     /// Merge another report into this one (for cumulative scenario runs).
     pub fn accumulate(&mut self, other: &ExecutionReport) {
         self.compute_seconds += other.compute_seconds;
         self.load_seconds += other.load_seconds;
         self.optimizer_seconds += other.optimizer_seconds;
         self.materializer_seconds += other.materializer_seconds;
+        self.publish_lock_wait_seconds += other.publish_lock_wait_seconds;
+        self.publish_capture_seconds += other.publish_capture_seconds;
+        self.publish_merge_seconds += other.publish_merge_seconds;
+        self.publish_materialize_seconds += other.publish_materialize_seconds;
+        self.publish_persist_seconds += other.publish_persist_seconds;
         self.ops_executed += other.ops_executed;
         self.artifacts_loaded += other.artifacts_loaded;
         self.nodes_skipped += other.nodes_skipped;
@@ -64,6 +99,9 @@ impl ExecutionReport {
         self.load_misses_recovered += other.load_misses_recovered;
         self.panics_caught += other.panics_caught;
         self.salvaged_artifacts += other.salvaged_artifacts;
+        self.vertices_rescored += other.vertices_rescored;
+        self.candidates_ranked += other.candidates_ranked;
+        self.materializer_bytes_read += other.materializer_bytes_read;
     }
 }
 
@@ -191,11 +229,20 @@ mod tests {
             compute_seconds: 2.0,
             artifacts_loaded: 4,
             best_model_quality: 0.9,
+            publish_merge_seconds: 0.25,
+            vertices_rescored: 7,
+            candidates_ranked: 3,
+            materializer_bytes_read: 11,
             ..ExecutionReport::default()
         };
         a.accumulate(&b);
-        assert_eq!(a.compute_seconds, 3.0);
-        assert_eq!(a.artifacts_loaded, 4);
+        a.accumulate(&b);
+        assert_eq!(a.compute_seconds, 5.0);
+        assert_eq!(a.artifacts_loaded, 8);
         assert_eq!(a.best_model_quality, 0.9);
+        assert_eq!(a.publish_merge_seconds, 0.5);
+        assert_eq!(a.vertices_rescored, 14);
+        assert_eq!(a.candidates_ranked, 6);
+        assert_eq!(a.materializer_bytes_read, 22);
     }
 }

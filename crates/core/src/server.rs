@@ -20,10 +20,7 @@
 use crate::cost::CostModel;
 use crate::executor::{self, ExecutorConfig};
 use crate::failure::{Quarantine, RetryPolicy, WorkloadError};
-use crate::materialize::{
-    AllMaterializer, GreedyMaterializer, HelixMaterializer, Materializer, NoneMaterializer,
-    StorageAwareMaterializer,
-};
+use crate::materialize::{self, Materializer};
 use crate::optimizer::{AllMaterializedReuse, HelixReuse, LinearReuse, NoReuse, ReusePlanner};
 use crate::pipeline::{ExecutedWorkload, FailedExecution, PlannedWorkload, PrunedWorkload};
 use crate::report::{ExecutionReport, RecoveryReport};
@@ -472,27 +469,7 @@ impl OptimizerServer {
     /// [`open`]: OptimizerServer::open
     fn build(mut config: ServerConfig, eg: ShardedEg) -> Self {
         config.shards = eg.n_shards();
-        let materializer: Box<dyn Materializer> = match config.materializer {
-            MaterializerKind::StorageAware => Box::new(StorageAwareMaterializer {
-                budget: config.budget,
-                alpha: config.alpha,
-            }),
-            MaterializerKind::Greedy => Box::new(GreedyMaterializer {
-                budget: config.budget,
-                alpha: config.alpha,
-                max_artifacts: None,
-            }),
-            MaterializerKind::GreedyCapped(n) => Box::new(GreedyMaterializer {
-                budget: config.budget,
-                alpha: config.alpha,
-                max_artifacts: Some(n),
-            }),
-            MaterializerKind::Helix => Box::new(HelixMaterializer {
-                budget: config.budget,
-            }),
-            MaterializerKind::All => Box::new(AllMaterializer),
-            MaterializerKind::None => Box::new(NoneMaterializer),
-        };
+        let materializer = materialize::for_config(&config);
         let planner: Box<dyn ReusePlanner> = match config.reuse {
             ReuseKind::Linear => Box::new(LinearReuse),
             ReuseKind::Helix => Box::new(HelixReuse),
@@ -746,13 +723,14 @@ impl OptimizerServer {
             mut report,
             failure,
         } = executed;
-        let start = Instant::now();
+        let mut laps = Laps(Instant::now());
         // Degraded durability rejects the publish *before* the merge:
         // merging while read-only would put memory further ahead of
         // disk with no backlog entry to repair from.
         if let Some(error) = self.degraded_reject() {
             self.reject_publish(&report, failure.as_ref(), &error);
-            report.materializer_seconds = start.elapsed().as_secs_f64();
+            report.publish_lock_wait_seconds = laps.lap();
+            report.sum_publish_phases();
             return finish_publish(dag, report, failure, Some(error));
         }
 
@@ -809,14 +787,17 @@ impl OptimizerServer {
             // Failed before execution with nothing to salvage and no
             // quarantine change to persist: only the failure counters
             // move.
+            report.publish_lock_wait_seconds = laps.lap();
             self.stats[0]
                 .lock()
                 .fold_publish(&report, 0.0, failure.as_ref(), false);
+            report.publish_persist_seconds = laps.lap();
         } else {
             // Ordered-lock protocol: ascending shard indices, held
             // through merge, materialization and journaling.
             let shard_list: Vec<usize> = touched.into_iter().collect();
             let mut guards = self.eg.write_set(&shard_list);
+            report.publish_lock_wait_seconds = laps.lap();
             // Shard index → position in `guards` (unlocked: usize::MAX).
             let mut pos = vec![usize::MAX; self.eg.n_shards()];
             for (gi, k) in shard_list.iter().enumerate() {
@@ -852,6 +833,7 @@ impl OptimizerServer {
                 }
                 capture
             });
+            report.publish_capture_seconds = laps.lap();
 
             // Merge every kept node into its owning shard; child links
             // are wired on the parent's shard (locked, because the mask
@@ -873,10 +855,12 @@ impl OptimizerServer {
                 }
             }
 
+            report.publish_merge_seconds = laps.lap();
+
             // Executed values merge back as Arc clones: the store and
             // the returned DAG share the same allocations.
             let available = available_contents(&dag);
-            self.materialize(&mut guards, &pos, &dag, &merged, &available);
+            self.materialize(&mut guards, &pos, &dag, &merged, &available, &mut report);
             for (_, g) in &mut guards {
                 reconcile_restored_flags(g);
             }
@@ -884,6 +868,7 @@ impl OptimizerServer {
                 let (_, g) = guards.get(guard_of(id))?;
                 g.vertex(id).ok().map(|v| v.compute_time)
             });
+            report.publish_materialize_seconds = laps.lap();
 
             if let (Some(dur), Some(capture)) = (durability, &capture) {
                 persist_error = self
@@ -899,8 +884,9 @@ impl OptimizerServer {
                 failure.as_ref(),
                 persist_error.is_some(),
             );
+            report.publish_persist_seconds = laps.lap();
         }
-        report.materializer_seconds = start.elapsed().as_secs_f64();
+        report.sum_publish_phases();
 
         // Threshold compaction runs after the publish locks are
         // released (parking_lot locks are not reentrant) and compacts
@@ -924,12 +910,14 @@ impl OptimizerServer {
     }
 
     /// Materialization — the one step of a publish that depends on how
-    /// much of the graph the publish holds.
+    /// much of the graph the publish holds. Records the materializer's
+    /// work counters in `report`.
     ///
     /// A publish that holds the whole graph (one shard) runs the
     /// configured materializer exactly as the paper writes it
-    /// (Algorithms 1–2, §5.3): utilities ranked over every vertex,
-    /// admission and eviction against the budget.
+    /// (Algorithms 1–2, §5.3): utilities ranked over every candidate,
+    /// admission and eviction against the budget. Debug builds check
+    /// the outcome against the full-pass oracle.
     ///
     /// A publish that holds a subset cannot: the utility-ranked
     /// algorithms walk one whole graph under one lock, which a sharded
@@ -946,20 +934,42 @@ impl OptimizerServer {
         dag: &WorkloadDag,
         merged: &[bool],
         available: &HashMap<ArtifactId, Value>,
+        report: &mut ExecutionReport,
     ) {
         if self.eg.n_shards() == 1 {
             let eg = &mut *guards[0].1;
+            #[cfg(debug_assertions)]
+            let (oracle, expected) = {
+                let oracle = materialize::oracle::FullPass::of(&self.config);
+                let expected = oracle.expected(eg, available, &self.config.cost);
+                (oracle, expected)
+            };
+            let read_before = eg.storage().bytes_read();
             self.materializer.run(eg, available, &self.config.cost);
+            let work = eg.take_score_work();
+            report.vertices_rescored = work.vertices_rescored;
+            report.candidates_ranked = work.candidates_ranked;
+            report.materializer_bytes_read = eg.storage().bytes_read() - read_before;
             // In debug builds, fsck the graph while still inside the
             // critical section: an invariant break is pinned to the
             // publication that introduced it. (A lone shard of several
             // legitimately holds child links into shards this publish
             // did not lock; those invariants are checked by `egfsck`,
-            // recovery, and the crash-matrix tests.)
+            // recovery, and the crash-matrix tests.) Then check the
+            // maintained scores, the candidate order and the chosen set
+            // against a full recompute.
             #[cfg(debug_assertions)]
             {
                 let fsck = co_graph::fsck::check_graph(eg);
                 debug_assert!(fsck.is_clean(), "post-publish fsck failed:\n{fsck}");
+                let wrong = oracle.check(eg, &expected, &self.config.cost);
+                debug_assert!(
+                    wrong.is_empty(),
+                    "materializer disagrees with the full-pass oracle:\n{}",
+                    wrong.join("\n")
+                );
+                // The check's own ranking is not the publish's work.
+                eg.take_score_work();
             }
             return;
         }
@@ -1432,6 +1442,18 @@ impl OptimizerServer {
     }
 }
 
+/// Consecutive phase timer: each lap is the time since the previous one.
+struct Laps(Instant);
+
+impl Laps {
+    fn lap(&mut self) -> f64 {
+        let now = Instant::now();
+        let seconds = now.duration_since(self.0).as_secs_f64();
+        self.0 = now;
+        seconds
+    }
+}
+
 /// Tail of every publish (accepted or rejected): translate (failure, persist
 /// failure) into the client-visible result, preserving error precedence
 /// (the workload's own error wins; a persist failure alone reports the
@@ -1691,6 +1713,33 @@ mod tests {
         assert!(second.artifacts_loaded >= 1);
         assert!(second.ops_executed < first.ops_executed);
         assert!(second.run_seconds() < first.run_seconds());
+    }
+
+    #[test]
+    fn republishing_a_loaded_workload_rescores_nothing() {
+        let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
+        let (_, first) = server.run_workload(workload()).unwrap();
+        let n = server.shards().view().n_vertices() as u64;
+        // The first ranking of a graph is the one full pass.
+        assert_eq!(first.vertices_rescored, n);
+        assert!(first.candidates_ranked >= 1);
+
+        let (_, second) = server.run_workload(workload()).unwrap();
+        assert_eq!(second.ops_executed, 0);
+        // Every node was loaded or skipped: no t, s or q changed, so no
+        // score moved, yet the pool is still ranked.
+        assert_eq!(second.vertices_rescored, 0);
+        assert_eq!(second.candidates_ranked, first.candidates_ranked);
+        assert_eq!(first.materializer_bytes_read, 0);
+        assert_eq!(second.materializer_bytes_read, 0);
+        // The phases partition the publish section.
+        let phases = second.publish_lock_wait_seconds
+            + second.publish_capture_seconds
+            + second.publish_merge_seconds
+            + second.publish_materialize_seconds
+            + second.publish_persist_seconds;
+        assert_eq!(second.materializer_seconds, phases);
+        assert!(second.publish_materialize_seconds > 0.0);
     }
 
     #[test]

@@ -5,13 +5,24 @@
 //! the model-quality attribute `q`; meta-data is kept for *all* artifacts,
 //! content only for the materialized subset (held by the embedded
 //! [`StorageManager`]).
+//!
+//! The graph also maintains the materializers' ranking inputs (paper
+//! §5.2): each vertex's recreation cost `Cr` and potential `p`, and the
+//! pool of vertices whose utility can be nonzero. A merge marks the
+//! vertices it changes dirty; [`ExperimentGraph::refresh_scores`] walks
+//! from them — `Cr` down through descendants, `p` up through ancestors —
+//! and stops wherever a value comes out bit-identical. Nothing is
+//! recorded until the first refresh, so a graph that is never ranked
+//! (a shard of a sharded graph) pays nothing for it.
 
 use crate::artifact::{ArtifactId, NodeKind};
+use crate::cost::CostModel;
 use crate::error::{GraphError, Result};
 use crate::operation::OpHash;
 use crate::storage::StorageManager;
 use crate::workload::WorkloadDag;
-use std::collections::{HashMap, HashSet};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 /// One vertex of the Experiment Graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,11 +51,61 @@ pub struct EgVertex {
     pub children: Vec<ArtifactId>,
 }
 
+/// A materialization candidate with its maintained ranking inputs.
+#[derive(Debug, Clone, Copy)]
+pub struct ScoredVertex<'a> {
+    /// The vertex.
+    pub vertex: &'a EgVertex,
+    /// Its recreation cost `Cr`.
+    pub recreation_cost: f64,
+    /// Its potential `p`.
+    pub potential: f64,
+}
+
+/// Work the maintained ranking inputs did since the last
+/// [`ExperimentGraph::take_score_work`] — counts that do not depend on
+/// the host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScoreWork {
+    /// Vertices whose `Cr` or `p` was recomputed.
+    pub vertices_rescored: u64,
+    /// Candidates handed to a ranking by [`ExperimentGraph::candidates`].
+    pub candidates_ranked: u64,
+}
+
+/// `Cr` of the vertex is queued for recomputation.
+const CR_QUEUED: u8 = 1;
+/// `p` of the vertex is queued for recomputation.
+const P_QUEUED: u8 = 2;
+/// The vertex was counted as rescored in the running refresh.
+const RESCORED: u8 = 4;
+
+/// The maintained ranking inputs, indexed by topological position.
+#[derive(Default)]
+struct Scores {
+    /// False until the first refresh; until then nothing below is
+    /// allocated or recorded.
+    live: bool,
+    cr: Vec<f64>,
+    potential: Vec<f64>,
+    flags: Vec<u8>,
+    cr_dirty: Vec<usize>,
+    p_dirty: Vec<usize>,
+    /// Candidates by id (→ position) under `pool_cost`: non-source,
+    /// non-aggregate, `s > 0`, and `Cl(s) < Cr`.
+    pool: BTreeMap<ArtifactId, usize>,
+    pool_cost: Option<CostModel>,
+    work: ScoreWork,
+}
+
 /// The Experiment Graph.
 pub struct ExperimentGraph {
-    vertices: HashMap<ArtifactId, EgVertex>,
-    /// Insertion order; parents always precede children, so this is a
-    /// topological order of the whole graph.
+    /// Vertices in insertion order; parents always precede children, so
+    /// a vertex's index is its topological position.
+    vertices: Vec<EgVertex>,
+    /// Artifact id → index in `vertices`.
+    index: HashMap<ArtifactId, usize>,
+    /// The ids of `vertices`, in the same (topological) order.
     topo: Vec<ArtifactId>,
     sources: Vec<ArtifactId>,
     storage: StorageManager,
@@ -54,6 +115,7 @@ pub struct ExperimentGraph {
     /// though the store holds nothing yet; they clear as eviction or
     /// re-materialization brings the store back in charge.
     restored_mat: HashSet<ArtifactId>,
+    scores: Scores,
 }
 
 impl ExperimentGraph {
@@ -61,14 +123,15 @@ impl ExperimentGraph {
     #[must_use]
     pub fn new(dedup: bool) -> Self {
         ExperimentGraph {
-            vertices: HashMap::new(),
+            vertices: Vec::new(),
+            index: HashMap::new(),
             topo: Vec::new(),
             sources: Vec::new(),
             storage: StorageManager::new(dedup),
             restored_mat: HashSet::new(),
+            scores: Scores::default(),
         }
     }
-
     /// Merge an *executed* workload DAG (annotated with compute times and
     /// sizes) into the graph:
     ///
@@ -152,58 +215,106 @@ impl ExperimentGraph {
             .get(idx)
             .ok_or_else(|| GraphError::InvalidStructure(format!("workload has no node {idx}")))?;
         let id = node.artifact;
-        match self.vertices.get_mut(&id) {
-            Some(v) => {
-                v.frequency += 1;
-                if let Some(t) = node.compute_time {
-                    v.compute_time = t;
+        if let Some(&i) = self.index.get(&id) {
+            let v = &mut self.vertices[i];
+            v.frequency += 1;
+            // Only a value that really changes dirties the ranking
+            // inputs: `t` and `s` feed `Cr` and the candidate test, `q`
+            // feeds `p`. A node that was loaded carries no `t`.
+            let mut dirty = 0;
+            if let Some(t) = node.compute_time {
+                if t.to_bits() != v.compute_time.to_bits() {
+                    dirty |= CR_QUEUED;
                 }
-                if let Some(s) = node.size {
-                    v.size = s;
-                }
-                if node.quality > 0.0 {
-                    v.quality = node.quality;
-                }
-                Ok(false)
+                v.compute_time = t;
             }
-            None => {
-                let parents: Vec<ArtifactId> = dag
-                    .parents(crate::workload::NodeId(idx))
-                    .iter()
-                    .map(|n| dag.nodes()[n.0].artifact)
-                    .collect();
-                let op_hash = dag
-                    .producer(crate::workload::NodeId(idx))
-                    .map(|e| e.op.op_hash());
-                let description = node
-                    .computed
-                    .as_ref()
-                    .map(crate::value::Value::description)
-                    .unwrap_or_default();
-                let vertex = EgVertex {
-                    id,
-                    kind: node.kind,
-                    frequency: 1,
-                    compute_time: node.compute_time.unwrap_or(0.0),
-                    size: node.size.unwrap_or(0),
-                    quality: node.quality,
-                    description,
-                    source_name: node.name.clone(),
-                    op_hash,
-                    parents,
-                    children: Vec::new(),
-                };
-                self.vertices.insert(id, vertex);
-                self.topo.push(id);
-                if node.producer.is_none() {
-                    self.sources.push(id);
-                    // Sources: store content unconditionally.
-                    if let Some(value) = &node.computed {
-                        self.storage.store(id, value);
-                    }
+            if let Some(s) = node.size {
+                if s != v.size {
+                    dirty |= CR_QUEUED;
                 }
-                Ok(true)
+                v.size = s;
             }
+            if node.quality > 0.0 {
+                if node.quality.to_bits() != v.quality.to_bits() {
+                    dirty |= P_QUEUED;
+                }
+                v.quality = node.quality;
+            }
+            self.mark(i, dirty);
+            return Ok(false);
+        }
+        let parents: Vec<ArtifactId> = dag
+            .parents(crate::workload::NodeId(idx))
+            .iter()
+            .map(|n| dag.nodes()[n.0].artifact)
+            .collect();
+        let op_hash = dag
+            .producer(crate::workload::NodeId(idx))
+            .map(|e| e.op.op_hash());
+        let description = node
+            .computed
+            .as_ref()
+            .map(crate::value::Value::description)
+            .unwrap_or_default();
+        self.insert(EgVertex {
+            id,
+            kind: node.kind,
+            frequency: 1,
+            compute_time: node.compute_time.unwrap_or(0.0),
+            size: node.size.unwrap_or(0),
+            quality: node.quality,
+            description,
+            source_name: node.name.clone(),
+            op_hash,
+            parents,
+            children: Vec::new(),
+        });
+        if node.producer.is_none() {
+            // Sources: store content unconditionally.
+            if let Some(value) = &node.computed {
+                self.storage.store(id, value);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Append a new vertex (the caller checked it is new); a vertex
+    /// without a producing operation is a source.
+    fn insert(&mut self, vertex: EgVertex) {
+        let i = self.vertices.len();
+        let id = vertex.id;
+        if vertex.op_hash.is_none() {
+            self.sources.push(id);
+        }
+        self.index.insert(id, i);
+        self.topo.push(id);
+        self.vertices.push(vertex);
+        if self.scores.live {
+            // NaN never equals a computed value's bits, so the first
+            // refresh always propagates from a new vertex.
+            self.scores.cr.push(f64::NAN);
+            self.scores.potential.push(f64::NAN);
+            self.scores.flags.push(0);
+            self.mark(i, CR_QUEUED | P_QUEUED);
+        }
+    }
+
+    /// Queue the vertex at position `i` for recomputation of `Cr`
+    /// and/or `p` (`what` holds `CR_QUEUED` / `P_QUEUED`). A no-op until
+    /// the scores are live; each vertex is queued at most once per
+    /// score, so the dirty lists never outgrow the graph.
+    fn mark(&mut self, i: usize, what: u8) {
+        let s = &mut self.scores;
+        if !s.live {
+            return;
+        }
+        let new = what & !s.flags[i];
+        s.flags[i] |= new;
+        if new & CR_QUEUED != 0 {
+            s.cr_dirty.push(i);
+        }
+        if new & P_QUEUED != 0 {
+            s.p_dirty.push(i);
         }
     }
 
@@ -211,12 +322,15 @@ impl ExperimentGraph {
     /// updater and the recovery rewire pass call this on the *parent's*
     /// shard; `child` may live elsewhere.
     pub fn add_child_link(&mut self, parent: ArtifactId, child: ArtifactId) -> Result<()> {
-        let pv = self
-            .vertices
-            .get_mut(&parent)
+        let i = *self
+            .index
+            .get(&parent)
             .ok_or(GraphError::UnknownArtifact(parent.0))?;
+        let pv = &mut self.vertices[i];
         if !pv.children.contains(&child) {
             pv.children.push(child);
+            // A new child can raise the parent's potential.
+            self.mark(i, P_QUEUED);
         }
         Ok(())
     }
@@ -228,43 +342,41 @@ impl ExperimentGraph {
     /// (`crate::shard::rewire_children`) rebuilds children afterwards.
     /// The vertex must be new.
     pub fn restore_vertex_unlinked(&mut self, mut vertex: EgVertex) -> Result<()> {
-        if self.vertices.contains_key(&vertex.id) {
+        if self.index.contains_key(&vertex.id) {
             return Err(GraphError::InvalidStructure(format!(
                 "duplicate vertex {:x} in snapshot",
                 vertex.id.0
             )));
         }
         vertex.children.clear();
-        let id = vertex.id;
-        let is_source = vertex.op_hash.is_none();
-        self.vertices.insert(id, vertex);
-        self.topo.push(id);
-        if is_source {
-            self.sources.push(id);
-        }
+        self.insert(vertex);
         Ok(())
     }
 
     /// Whether an artifact (materialized or not) is known to the graph.
     #[must_use]
     pub fn contains(&self, id: ArtifactId) -> bool {
-        self.vertices.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
     /// Vertex accessor.
     pub fn vertex(&self, id: ArtifactId) -> Result<&EgVertex> {
-        self.vertices
+        self.index
             .get(&id)
+            .map(|&i| &self.vertices[i])
             .ok_or(GraphError::UnknownArtifact(id.0))
     }
 
-    /// Mutable vertex accessor.
+    /// Mutable vertex accessor. The caller may change anything, so the
+    /// vertex's `Cr` and `p` are queued for recomputation.
     pub fn vertex_mut(&mut self, id: ArtifactId) -> Result<&mut EgVertex> {
-        self.vertices
-            .get_mut(&id)
-            .ok_or(GraphError::UnknownArtifact(id.0))
+        let i = *self
+            .index
+            .get(&id)
+            .ok_or(GraphError::UnknownArtifact(id.0))?;
+        self.mark(i, CR_QUEUED | P_QUEUED);
+        Ok(&mut self.vertices[i])
     }
-
     /// Whether the artifact's content is stored (`mat`).
     #[must_use]
     pub fn is_materialized(&self, id: ArtifactId) -> bool {
@@ -338,28 +450,222 @@ impl ExperimentGraph {
         self.storage = storage;
     }
 
-    /// Approximate recreation cost `Cr(v)` for every vertex, computed in
-    /// one topological pass as `t(v) + Σ_parents Cr(p)` — the linear-time
+    /// `Cr(v) = t(v) + Σ_parents Cr(p)`, summed in parent order. Reads
+    /// `Cr` only of parents earlier in topological order (a parent in
+    /// another shard, or later, counts 0) — exactly what one forward
+    /// pass over `topo` sees.
+    fn cr_at(&self, i: usize, cr: &[f64]) -> f64 {
+        let v = &self.vertices[i];
+        let parent_cost: f64 = v
+            .parents
+            .iter()
+            .map(|p| match self.index.get(p) {
+                Some(&j) if j < i => cr[j],
+                _ => 0.0,
+            })
+            .sum();
+        v.compute_time + parent_cost
+    }
+
+    /// `p(v) = max(q(v) if v is a model, max_children p(c))`. Reads `p`
+    /// only of children later in topological order — exactly what one
+    /// reverse pass over `topo` sees.
+    fn potential_at(&self, i: usize, potential: &[f64]) -> f64 {
+        let v = &self.vertices[i];
+        let own = if v.kind == NodeKind::Model {
+            v.quality
+        } else {
+            0.0
+        };
+        let best_child = v
+            .children
+            .iter()
+            .map(|c| match self.index.get(c) {
+                Some(&j) if j > i => potential[j],
+                _ => 0.0,
+            })
+            .fold(0.0, f64::max);
+        own.max(best_child)
+    }
+
+    /// Whether the vertex at position `i` can have nonzero utility under
+    /// `cost` (Equation 2): not a source, not a scalar aggregate, of
+    /// nonzero size, and `Cl(s) < Cr` (or incomparable).
+    fn is_candidate(&self, i: usize, cost: &CostModel) -> bool {
+        let v = &self.vertices[i];
+        v.op_hash.is_some()
+            && v.kind != NodeKind::Aggregate
+            && v.size > 0
+            && !matches!(
+                cost.load_cost(v.size).partial_cmp(&self.scores.cr[i]),
+                Some(Ordering::Greater | Ordering::Equal)
+            )
+    }
+
+    fn update_pool(&mut self, i: usize) {
+        if let Some(cost) = self.scores.pool_cost {
+            let id = self.topo[i];
+            if self.is_candidate(i, &cost) {
+                self.scores.pool.insert(id, i);
+            } else {
+                self.scores.pool.remove(&id);
+            }
+        }
+    }
+
+    /// Bring the maintained `Cr` and `p` up to date. The first call runs
+    /// the full pass and turns maintenance on; later calls recompute
+    /// `Cr` in topological order from the dirty vertices down through
+    /// their descendants and `p` in reverse order up through their
+    /// ancestors, each walk stopping where a value's bits do not change.
+    /// The result is bit-identical to [`ExperimentGraph::recreation_costs`]
+    /// and [`ExperimentGraph::potentials`].
+    pub fn refresh_scores(&mut self) {
+        let n = self.vertices.len();
+        if !self.scores.live {
+            let mut cr = Vec::with_capacity(n);
+            for i in 0..n {
+                let c = self.cr_at(i, &cr);
+                cr.push(c);
+            }
+            let mut potential = vec![0.0; n];
+            for i in (0..n).rev() {
+                potential[i] = self.potential_at(i, &potential);
+            }
+            self.scores = Scores {
+                live: true,
+                cr,
+                potential,
+                flags: vec![0; n],
+                work: self.scores.work,
+                ..Scores::default()
+            };
+            self.scores.work.vertices_rescored += n as u64;
+            return;
+        }
+        let mut rescored = Vec::new();
+
+        // Cr flows down: pop in ascending position, so every parent that
+        // changes is final before its children are recomputed.
+        let mut down: BinaryHeap<Reverse<usize>> =
+            self.scores.cr_dirty.drain(..).map(Reverse).collect();
+        while let Some(Reverse(i)) = down.pop() {
+            let s = &mut self.scores;
+            s.flags[i] &= !CR_QUEUED;
+            if s.flags[i] & RESCORED == 0 {
+                s.flags[i] |= RESCORED;
+                rescored.push(i);
+            }
+            let cr = self.cr_at(i, &self.scores.cr);
+            let changed = cr.to_bits() != self.scores.cr[i].to_bits();
+            self.scores.cr[i] = cr;
+            if changed {
+                for c in &self.vertices[i].children {
+                    if let Some(&j) = self.index.get(c) {
+                        if j > i && self.scores.flags[j] & CR_QUEUED == 0 {
+                            self.scores.flags[j] |= CR_QUEUED;
+                            down.push(Reverse(j));
+                        }
+                    }
+                }
+            }
+            // Cr or s may have moved across Cl: re-test candidacy.
+            self.update_pool(i);
+        }
+
+        // p flows up: pop in descending position.
+        let mut up: BinaryHeap<usize> = self.scores.p_dirty.drain(..).collect();
+        while let Some(i) = up.pop() {
+            let s = &mut self.scores;
+            s.flags[i] &= !P_QUEUED;
+            if s.flags[i] & RESCORED == 0 {
+                s.flags[i] |= RESCORED;
+                rescored.push(i);
+            }
+            let p = self.potential_at(i, &self.scores.potential);
+            let changed = p.to_bits() != self.scores.potential[i].to_bits();
+            self.scores.potential[i] = p;
+            if changed {
+                for q in &self.vertices[i].parents {
+                    if let Some(&j) = self.index.get(q) {
+                        if j < i && self.scores.flags[j] & P_QUEUED == 0 {
+                            self.scores.flags[j] |= P_QUEUED;
+                            up.push(j);
+                        }
+                    }
+                }
+            }
+        }
+
+        for &i in &rescored {
+            self.scores.flags[i] &= !RESCORED;
+        }
+        self.scores.work.vertices_rescored += rescored.len() as u64;
+    }
+
+    /// The materialization candidates under `cost` — every vertex whose
+    /// utility (paper §5.2, Equation 2) can be nonzero: not a source, not
+    /// a scalar aggregate, `s > 0` and `Cl(s) < Cr` — in ascending id
+    /// order, with their refreshed `Cr` and `p`. The pool is maintained
+    /// with the scores; a different cost model than the last call's
+    /// rebuilds it once.
+    pub fn candidates(&mut self, cost: &CostModel) -> Vec<ScoredVertex<'_>> {
+        self.refresh_scores();
+        if self.scores.pool_cost != Some(*cost) {
+            self.scores.pool_cost = Some(*cost);
+            self.scores.pool.clear();
+            for i in 0..self.vertices.len() {
+                self.update_pool(i);
+            }
+        }
+        let s = &self.scores;
+        let out: Vec<ScoredVertex<'_>> = s
+            .pool
+            .values()
+            .map(|&i| ScoredVertex {
+                vertex: &self.vertices[i],
+                recreation_cost: s.cr[i],
+                potential: s.potential[i],
+            })
+            .collect();
+        self.scores.work.candidates_ranked += out.len() as u64;
+        out
+    }
+
+    /// The maintained `Cr` and `p` of every vertex, in topological order,
+    /// as of the last [`ExperimentGraph::refresh_scores`] (`None` before
+    /// the first).
+    #[must_use]
+    pub fn maintained_scores(&self) -> Option<(&[f64], &[f64])> {
+        self.scores
+            .live
+            .then_some((&self.scores.cr[..], &self.scores.potential[..]))
+    }
+
+    /// The score work done since the last call, resetting the counts.
+    pub fn take_score_work(&mut self) -> ScoreWork {
+        std::mem::take(&mut self.scores.work)
+    }
+
+    /// Recreation cost `Cr(v)` for every vertex, computed in one
+    /// topological pass as `t(v) + Σ_parents Cr(p)` — the linear-time
     /// scheme the paper uses (§5.2 "we compute the recreation cost and
     /// potential of the nodes incrementally using one pass"). On DAGs with
     /// shared ancestors this over-counts; see
-    /// [`ExperimentGraph::exact_recreation_cost`].
+    /// [`ExperimentGraph::exact_recreation_cost`]. This is the full pass
+    /// the maintained values ([`ExperimentGraph::refresh_scores`]) are
+    /// checked against.
     ///
     /// Materialized vertices still report their full recreation cost (the
     /// utility function compares it against the load cost).
     #[must_use]
     pub fn recreation_costs(&self) -> HashMap<ArtifactId, f64> {
-        let mut costs: HashMap<ArtifactId, f64> = HashMap::with_capacity(self.vertices.len());
-        for id in &self.topo {
-            let v = &self.vertices[id];
-            let parent_cost: f64 = v
-                .parents
-                .iter()
-                .map(|p| costs.get(p).copied().unwrap_or(0.0))
-                .sum();
-            costs.insert(*id, v.compute_time + parent_cost);
+        let mut cr = Vec::with_capacity(self.vertices.len());
+        for i in 0..self.vertices.len() {
+            let c = self.cr_at(i, &cr);
+            cr.push(c);
         }
-        costs
+        self.topo.iter().copied().zip(cr).collect()
     }
 
     /// Exact recreation cost: the sum of `t` over the vertex's compute
@@ -373,7 +679,9 @@ impl ExperimentGraph {
             if !seen.insert(a) {
                 continue;
             }
-            let v = &self.vertices[&a];
+            let Ok(v) = self.vertex(a) else {
+                continue;
+            };
             total += v.compute_time;
             stack.extend(v.parents.iter().copied());
         }
@@ -382,36 +690,25 @@ impl ExperimentGraph {
 
     /// Potential `p(v)` for every vertex: the quality of the best ML model
     /// reachable from it (paper §5.1), computed in one reverse topological
-    /// pass.
+    /// pass — the full pass the maintained values are checked against.
     #[must_use]
     pub fn potentials(&self) -> HashMap<ArtifactId, f64> {
-        let mut potential: HashMap<ArtifactId, f64> = HashMap::with_capacity(self.vertices.len());
-        for id in self.topo.iter().rev() {
-            let v = &self.vertices[id];
-            let own = if v.kind == NodeKind::Model {
-                v.quality
-            } else {
-                0.0
-            };
-            let best_child = v
-                .children
-                .iter()
-                .map(|c| potential.get(c).copied().unwrap_or(0.0))
-                .fold(0.0, f64::max);
-            potential.insert(*id, own.max(best_child));
+        let mut potential = vec![0.0; self.vertices.len()];
+        for i in (0..self.vertices.len()).rev() {
+            potential[i] = self.potential_at(i, &potential);
         }
-        potential
+        self.topo.iter().copied().zip(potential).collect()
     }
 
-    /// All vertices (arbitrary order).
+    /// All vertices, in topological order.
     pub fn vertices(&self) -> impl Iterator<Item = &EgVertex> {
-        self.vertices.values()
+        self.vertices.iter()
     }
 
     /// Total nominal size of every artifact ever seen (bytes).
     #[must_use]
     pub fn total_artifact_bytes(&self) -> u64 {
-        self.vertices.values().map(|v| v.size).sum()
+        self.vertices.iter().map(|v| v.size).sum()
     }
 }
 

@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 
 pub mod artifact;
+pub mod cost;
 pub mod error;
 pub mod experiment;
 pub mod export;
@@ -40,14 +41,15 @@ pub mod vfs;
 pub mod workload;
 
 pub use artifact::{ArtifactId, ArtifactMeta, NodeKind};
+pub use cost::CostModel;
 pub use error::{GraphError, Result};
-pub use experiment::{EgVertex, ExperimentGraph};
+pub use experiment::{EgVertex, ExperimentGraph, ScoreWork, ScoredVertex};
 pub use faults::{FaultInjector, FaultKind, IoFault, NetFault};
 pub use fsck::{FsckCode, FsckReport, Violation};
 pub use journal::{EgDelta, FsyncPolicy, Journal, QuarantineEntry};
 pub use meta::{DatasetMeta, MetaCode, MetaError, MetaResult, ModelMeta, ValueMeta};
 pub use operation::{OpHash, OpRef, Operation};
 pub use shard::{shard_of, EgView, GraphQuery, ShardReadGuard, ShardWriteGuard, ShardedEg};
-pub use storage::{ColumnVault, StorageManager};
+pub use storage::{ColumnVault, Footprint, StorageManager};
 pub use value::{ModelArtifact, Value};
 pub use workload::{NodeId, WorkloadDag, WorkloadEdge, WorkloadNode};

@@ -40,13 +40,36 @@ struct ColumnRef {
 
 enum StoredArtifact {
     /// Stored verbatim (models, aggregates, and all artifacts when
-    /// deduplication is disabled).
-    Whole(Value),
+    /// deduplication is disabled), with its nominal size.
+    Whole { value: Value, nbytes: u64 },
     /// A dataset stored as schema + references into the column store.
     Dataset {
         columns: Vec<ColumnRef>,
         nbytes: u64,
     },
+}
+
+impl StoredArtifact {
+    /// The artifact's nominal size.
+    fn nbytes(&self) -> u64 {
+        match self {
+            StoredArtifact::Whole { nbytes, .. } | StoredArtifact::Dataset { nbytes, .. } => {
+                *nbytes
+            }
+        }
+    }
+}
+
+/// What an artifact occupies in a store, without its content: the ids
+/// and byte counts of a deduplicated dataset's columns (in column
+/// order), or the nominal bytes of anything stored whole. The
+/// storage-aware materializer's simulation needs nothing more.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Footprint {
+    /// Stored verbatim: this many bytes, shared with nothing.
+    Whole(u64),
+    /// A deduplicated dataset: `(column id, bytes)` per column.
+    Columns(Vec<(ColumnId, u64)>),
 }
 
 /// The cross-shard column store of a *sharded* Experiment Graph:
@@ -164,6 +187,14 @@ impl ColumnVault {
         freed
     }
 
+    /// Bytes of a held column.
+    fn column_bytes(&self, id: ColumnId) -> Option<u64> {
+        self.shards[self.shard_of(id)]
+            .lock()
+            .get(&id)
+            .map(|sc| sc.nbytes)
+    }
+
     /// Reassemble the referenced columns (`None` if any is missing).
     fn fetch(&self, refs: &[ColumnRef]) -> Option<Vec<Column>> {
         refs.iter()
@@ -239,6 +270,8 @@ pub struct StorageManager {
     /// then counts only verbatim (`Whole`) content held locally.
     vault: Option<Arc<ColumnVault>>,
     faults: Option<Arc<FaultInjector>>,
+    /// Bytes of content handed out by [`StorageManager::get`].
+    bytes_read: AtomicU64,
 }
 
 impl StorageManager {
@@ -253,6 +286,7 @@ impl StorageManager {
             dedup,
             vault: None,
             faults: None,
+            bytes_read: AtomicU64::new(0),
         }
     }
 
@@ -268,6 +302,7 @@ impl StorageManager {
             dedup: true,
             vault: Some(vault),
             faults: None,
+            bytes_read: AtomicU64::new(0),
         }
     }
 
@@ -361,8 +396,13 @@ impl StorageManager {
                 added
             }
             other => {
-                self.artifacts
-                    .insert(id, StoredArtifact::Whole(other.clone()));
+                self.artifacts.insert(
+                    id,
+                    StoredArtifact::Whole {
+                        value: other.clone(),
+                        nbytes: nominal,
+                    },
+                );
                 nominal
             }
         };
@@ -382,9 +422,9 @@ impl StorageManager {
             return vault.release(columns);
         }
         let freed = match stored {
-            StoredArtifact::Whole(v) => {
-                self.logical_bytes -= v.nbytes() as u64;
-                v.nbytes() as u64
+            StoredArtifact::Whole { nbytes, .. } => {
+                self.logical_bytes -= nbytes;
+                nbytes
             }
             StoredArtifact::Dataset { columns, nbytes } => {
                 self.logical_bytes -= nbytes;
@@ -424,9 +464,9 @@ impl StorageManager {
         let mut unique_whole = 0u64;
         for (id, stored) in &self.artifacts {
             match stored {
-                StoredArtifact::Whole(v) => {
-                    logical += v.nbytes() as u64;
-                    unique_whole += v.nbytes() as u64;
+                StoredArtifact::Whole { value, .. } => {
+                    logical += value.nbytes() as u64;
+                    unique_whole += value.nbytes() as u64;
                 }
                 StoredArtifact::Dataset { columns, nbytes } => {
                     logical += nbytes;
@@ -494,8 +534,24 @@ impl StorageManager {
                 return None;
             }
         }
-        match self.artifacts.get(&id)? {
-            StoredArtifact::Whole(v) => Some(v.clone()),
+        let stored = self.artifacts.get(&id)?;
+        let value = self.reassemble(stored)?;
+        self.bytes_read
+            .fetch_add(stored.nbytes(), Ordering::Relaxed);
+        Some(value)
+    }
+
+    /// Retrieve an artifact's content without consulting the fault
+    /// injector or counting the read — for checks (the full-pass
+    /// materializer oracle) that must see the store as it is.
+    #[must_use]
+    pub fn peek(&self, id: ArtifactId) -> Option<Value> {
+        self.reassemble(self.artifacts.get(&id)?)
+    }
+
+    fn reassemble(&self, stored: &StoredArtifact) -> Option<Value> {
+        match stored {
+            StoredArtifact::Whole { value, .. } => Some(value.clone()),
             StoredArtifact::Dataset { columns, .. } => {
                 let cols: Option<Vec<Column>> = if let Some(vault) = &self.vault {
                     vault.fetch(columns)
@@ -511,6 +567,49 @@ impl StorageManager {
                 };
                 DataFrame::new(cols?).ok().map(Value::dataset)
             }
+        }
+    }
+
+    /// Bytes of content [`StorageManager::get`] has handed out so far.
+    #[must_use]
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read.load(Ordering::Relaxed)
+    }
+
+    /// The footprint `value` would have in this store: its columns when
+    /// this store deduplicates datasets, its nominal bytes otherwise.
+    #[must_use]
+    pub fn footprint_of(&self, value: &Value) -> Footprint {
+        match value {
+            Value::Dataset(df) if self.dedup => Footprint::Columns(
+                df.columns()
+                    .iter()
+                    .map(|c| (c.id(), c.nbytes() as u64))
+                    .collect(),
+            ),
+            other => Footprint::Whole(other.nbytes() as u64),
+        }
+    }
+
+    /// The footprint of a stored artifact, read from the artifact table:
+    /// no content is reassembled and the fault injector is not
+    /// consulted. `None` when the artifact is not stored (or references
+    /// a column the store no longer holds).
+    #[must_use]
+    pub fn stored_footprint(&self, id: ArtifactId) -> Option<Footprint> {
+        match self.artifacts.get(&id)? {
+            StoredArtifact::Whole { nbytes, .. } => Some(Footprint::Whole(*nbytes)),
+            StoredArtifact::Dataset { columns, .. } => columns
+                .iter()
+                .map(|r| {
+                    let bytes = match &self.vault {
+                        Some(vault) => vault.column_bytes(r.id),
+                        None => self.columns.get(&r.id).map(|sc| sc.nbytes),
+                    };
+                    bytes.map(|b| (r.id, b))
+                })
+                .collect::<Option<Vec<_>>>()
+                .map(Footprint::Columns),
         }
     }
 

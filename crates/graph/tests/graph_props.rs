@@ -4,8 +4,8 @@
 
 use co_dataframe::{Column, ColumnData, DataFrame, Scalar};
 use co_graph::{
-    shard, snapshot, ArtifactId, ExperimentGraph, NodeKind, Operation, StorageManager, Value,
-    WorkloadDag,
+    shard, snapshot, ArtifactId, CostModel, ExperimentGraph, NodeKind, Operation, StorageManager,
+    Value, WorkloadDag,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -93,6 +93,50 @@ proptest! {
                 prop_assert_eq!(eg.vertex(node.artifact).unwrap().frequency, round);
             }
         }
+    }
+
+    #[test]
+    fn maintained_scores_match_the_full_pass(
+        rounds in proptest::collection::vec(arb_specs(), 1..6),
+        edit in 0usize..1000,
+    ) {
+        // Overlapping workloads re-time, resize and re-grade vertices
+        // that already exist (ops are named by position); every other
+        // round also edits a vertex directly, as journal replay does.
+        let cost = CostModel { latency_s: 1.0 / 16.0, bandwidth_bytes_per_s: 4000.0 };
+        let mut eg = ExperimentGraph::new(true);
+        for (r, specs) in rounds.iter().enumerate() {
+            eg.update_with_workload(&build_dag(specs)).unwrap();
+            if r % 2 == 1 {
+                let id = eg.topo_order()[edit % eg.n_vertices()];
+                eg.vertex_mut(id).unwrap().compute_time += 0.5;
+            }
+            let pool: Vec<ArtifactId> =
+                eg.candidates(&cost).iter().map(|c| c.vertex.id).collect();
+            let cr = eg.recreation_costs();
+            let p = eg.potentials();
+            let (kept_cr, kept_p) = eg.maintained_scores().unwrap();
+            for (i, id) in eg.topo_order().iter().enumerate() {
+                prop_assert_eq!(kept_cr[i].to_bits(), cr[id].to_bits(), "Cr of {}", i);
+                prop_assert_eq!(kept_p[i].to_bits(), p[id].to_bits(), "p of {}", i);
+            }
+            let mut want: Vec<ArtifactId> = eg
+                .vertices()
+                .filter(|v| {
+                    !eg.sources().contains(&v.id)
+                        && v.kind != NodeKind::Aggregate
+                        && v.size > 0
+                        && cost.load_cost(v.size) < cr[&v.id]
+                })
+                .map(|v| v.id)
+                .collect();
+            want.sort();
+            prop_assert_eq!(pool, want);
+        }
+        // Nothing changed since the last refresh: nothing is rescored.
+        eg.take_score_work();
+        eg.refresh_scores();
+        prop_assert_eq!(eg.take_score_work().vertices_rescored, 0);
     }
 
     #[test]

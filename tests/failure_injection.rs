@@ -3,7 +3,8 @@
 //! completed prefix, and not poison later submissions.
 
 use co_core::{OptimizerServer, ServerConfig};
-use co_dataframe::Scalar;
+use co_dataframe::ops::{self, MapFn};
+use co_dataframe::{Column, ColumnData, DataFrame, Scalar};
 use co_graph::{FaultInjector, FaultKind, GraphError, NodeKind, Operation, Value, WorkloadDag};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -385,4 +386,73 @@ fn evicted_artifacts_recompute_instead_of_erroring() {
 #[test]
 fn evicted_artifacts_recompute_instead_of_erroring_sharded() {
     recompute_evicted_artifacts(8);
+}
+
+/// Adds one derived column after a real pause, so the result is worth
+/// materializing (its recreation cost beats the modelled load cost).
+struct SlowDerive(&'static str);
+impl Operation for SlowDerive {
+    fn name(&self) -> &str {
+        self.0
+    }
+    fn params_digest(&self) -> String {
+        String::new()
+    }
+    fn output_kind(&self) -> NodeKind {
+        NodeKind::Dataset
+    }
+    fn run(&self, inputs: &[&Value]) -> co_graph::Result<Value> {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let df = inputs[0].as_dataset().expect("dataset input");
+        Ok(Value::dataset(
+            ops::map_column(df, "x", &MapFn::AddConst(1.0), self.0).expect("x exists"),
+        ))
+    }
+}
+
+/// `source → steps[0] → steps[1] → …` over a fresh frame named `source`.
+fn chain(source: &str, steps: &[&'static str]) -> WorkloadDag {
+    let frame = DataFrame::new(vec![Column::source(
+        source,
+        "x",
+        ColumnData::Float((0..500).map(f64::from).collect()),
+    )])
+    .unwrap();
+    let mut dag = WorkloadDag::new();
+    let mut node = dag.add_source(source, Value::dataset(frame));
+    for step in steps {
+        node = dag.add_op(Arc::new(SlowDerive(step)), &[node]).unwrap();
+    }
+    dag.mark_terminal(node).unwrap();
+    dag
+}
+
+#[test]
+fn load_misses_during_a_publish_keep_untouched_artifacts() {
+    let server = OptimizerServer::new(ServerConfig::collaborative(u64::MAX));
+    let (first, _) = server.run_workload(chain("t", &["a", "b"])).unwrap();
+    let derived: Vec<_> = first.nodes()[1..].iter().map(|n| n.artifact).collect();
+    let stored = |server: &OptimizerServer| {
+        let view = server.shards().view();
+        derived
+            .iter()
+            .filter(|id| view.graphs().any(|g| g.is_materialized(**id)))
+            .count()
+    };
+    assert_eq!(stored(&server), 2, "the unlimited budget stores both");
+
+    // From now on every store read misses. An unrelated workload loads
+    // nothing, and its publish must not read the store either: the
+    // materializer decides from column ids and byte counts, so a load
+    // fault can neither evict artifacts the workload never touched nor
+    // drop the sources from the budget.
+    let faults = Arc::new(FaultInjector::new());
+    for n in 0..10_000 {
+        faults.fail_nth_load(n);
+    }
+    server.set_fault_injector(Arc::clone(&faults));
+    let (_, report) = server.run_workload(chain("u", &["c"])).unwrap();
+    assert_eq!(stored(&server), 2, "untouched artifacts were evicted");
+    assert_eq!(faults.loads_seen(), 0, "the publish read the store");
+    assert_eq!(report.materializer_bytes_read, 0);
 }
